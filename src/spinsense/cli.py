@@ -20,6 +20,9 @@ import numpy as np
 from . import codes, estimation, metrics, sensing, spin
 
 _RZ_RE = re.compile(r"^R([xyz])\(([-+0-9.eE]+)\)$")
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+# a negative number, or a comma list of numbers starting with one, is a value
+_NEGATIVE_VALUE_RE = re.compile(rf"^-{_UNSIGNED}(?:,[-+]?{_UNSIGNED})*$")
 
 
 class CliInputError(ValueError):
@@ -29,7 +32,9 @@ class CliInputError(ValueError):
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise CliInputError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    # a float stays a float literal, so 100.0 prints as 100.0, not as the integer 100
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _to_json(obj) -> str:
@@ -54,6 +59,16 @@ def _to_json(obj) -> str:
 
 def _emit(obj) -> None:
     sys.stdout.write(_to_json(obj) + "\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _read_json_document(path: str | None):
@@ -111,7 +126,10 @@ def _named_operator(name: str, j: spin.SpinJ) -> spin.SpinOperator:
     m = _RZ_RE.match(name)
     if m:
         axis = _parse_axis(m.group(1))
-        return spin.rotation_unitary(j, float(m.group(2)), axis)
+        theta = float(m.group(2))
+        if not math.isfinite(theta):
+            raise CliInputError(f"operator {name!r}: the angle must be a finite number")
+        return spin.rotation_unitary(j, theta, axis)
     raise CliInputError(
         f"unknown operator {name!r}; use I, Jx, Jy, Jz, J+, J-, Rx/Ry/Rz(theta), "
         "or supply a JSON operator file"
@@ -271,6 +289,14 @@ def cmd_distance(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Relies on argparse's private _negative_number_matcher, which
+        # _parse_optional reads to tell a negative value from an option.
+        # Subparsers inherit it because add_parser defaults to type(self).
+        # test_axis_with_leading_minus_is_a_value breaks if Python drops it.
+        self._negative_number_matcher = _NEGATIVE_VALUE_RE
+
     def error(self, message):
         raise CliInputError(message)
 
@@ -287,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state-check", help="validate a SpinState JSON document")
     p.add_argument("--input", "-i", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_state_check)
 
     p = sub.add_parser("qfi", help="quantum Fisher information of a state")
@@ -316,21 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", default=None, help="CodeSpace JSON file, or - for stdin (default)")
     p.add_argument("--errors", default=None, help="comma list: I,Jx,Jy,Jz,J+,J-,Rz(theta)")
     p.add_argument("--error-file", action="append", default=None, help="JSON operator file (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--check", choices=("detection", "kl", "both"), default="both")
     p.set_defaults(func=cmd_code_check)
 
     p = sub.add_parser("error", help="error of state under a rotation or a unitary file")
     _add_state_inputs(p)
     p.add_argument("--axis", default="z")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
     p.add_argument("--operator-file", default=None, help="JSON unitary overriding --axis/--theta")
     p.set_defaults(func=cmd_error)
 
     p = sub.add_parser("estimate", help="Monte Carlo Cramer-Rao check")
     _add_state_inputs(p)
     p.add_argument("--axis", default="z")
-    p.add_argument("--theta-true", type=float, required=True)
+    p.add_argument("--theta-true", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, default=100000, help="trials per run (N)")
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--seed", type=int, default=None, help="default: $SPINSENSE_SEED, else 0")

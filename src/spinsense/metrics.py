@@ -25,6 +25,8 @@ class Distribution:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be non-empty and one-dimensional")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"probabilities must be finite: {p!r}")
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
             raise ValueError(f"probabilities out of [0, 1]: {p!r}")
         p = np.clip(p, 0.0, 1.0)

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .spin import RotationAxis, SpinJ, SpinState, build_spin_operators
+from .spin import RotationAxis, SpinJ, SpinState, spin_moments
 
 MOMENT_TARGET_TOL = 1e-12
 
@@ -120,16 +120,7 @@ class SupportSpec:
 
 def fisher_matrix(psi: SpinState) -> FisherMatrix:
     """Symmetrized covariance matrix of (Jx, Jy, Jz) in the state psi."""
-    ops = build_spin_operators(psi.j)
-    vecs = [op.matrix @ psi.amplitudes for op in (ops.jx, ops.jy, ops.jz)]
-    means = np.array([float(np.real(np.vdot(psi.amplitudes, v))) for v in vecs])
-    m = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(i, 3):
-            # (<Ji Jk> + <Jk Ji>)/2 is the real part of <Ji psi | Jk psi>
-            sym = float(np.real(np.vdot(vecs[i], vecs[k])))
-            m[i, k] = m[k, i] = sym - means[i] * means[k]
-    return FisherMatrix(m)
+    return FisherMatrix(spin_moments(psi)[1])
 
 
 def rotation_qfi(psi: SpinState, u: RotationAxis) -> float:
@@ -142,16 +133,11 @@ def anticoherence_report(psi: SpinState, tol: float) -> AnticoherenceReport:
     """Certify <J_i> = 0 (order 1) and M = (J(J+1)/3) I (order 2) at tol."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    ops = build_spin_operators(psi.j)
-    firsts = [
-        abs(float(np.real(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))))
-        for op in (ops.jx, ops.jy, ops.jz)
-    ]
-    max_first = max(firsts)
+    means, cov = spin_moments(psi)
+    max_first = float(np.max(np.abs(means)))
     jphys = psi.j.j
     target = jphys * (jphys + 1.0) / 3.0
-    dev = fisher_matrix(psi).matrix - target * np.eye(3)
-    max_dev = float(np.max(np.abs(dev)))
+    max_dev = float(np.max(np.abs(cov - target * np.eye(3))))
     return AnticoherenceReport(
         order1=max_first <= tol,
         order2=max_dev <= tol,

@@ -75,6 +75,8 @@ class SpinState:
             raise ValueError(
                 f"amplitude vector must have length {self.j.dim}, got shape {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
@@ -193,6 +195,8 @@ class RotationAxis:
         vec = np.array(self.u, dtype=float)
         if vec.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"axis components must be finite, got {vec.tolist()}")
         if abs(np.linalg.norm(vec) - 1.0) > AXIS_TOL:
             raise ValueError(f"axis must be a unit vector, |u| = {np.linalg.norm(vec)!r}")
         object.__setattr__(self, "u", _frozen(vec))
@@ -202,6 +206,8 @@ class RotationAxis:
         """Normalize an arbitrary nonzero 3-vector into an axis."""
         vec = np.asarray(list(v), dtype=float)
         n = np.linalg.norm(vec)
+        if not np.isfinite(n):
+            raise ValueError(f"axis components must be finite, got {vec.tolist()}")
         if n == 0:
             raise ValueError("cannot normalize the zero vector into an axis")
         return cls(vec / n)
@@ -231,39 +237,89 @@ class SpinOperatorSet:
     jsq: SpinOperator
 
 
+def _ladder(twice_j: int) -> np.ndarray:
+    """c[k] = <m_k|J+|m_{k+1}> = sqrt(J(J+1) - m(m+1)) at m = m_{k+1}, k = 0..2J-1.
+
+    With m_k = J - k the radicand is the integer (2J - k)(k + 1).
+    """
+    k = np.arange(twice_j)
+    return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
+
+
+def _tridiagonal(diag, upper, lower, dim: int) -> np.ndarray:
+    """Dense complex dim x dim matrix with the given main, upper and lower diagonals."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    flat = mat.reshape(-1)
+    flat[:: dim + 1] = diag
+    flat[1 :: dim + 1] = upper
+    flat[dim :: dim + 1] = lower
+    return mat
+
+
 def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
     """Dense matrices for Jx, Jy, Jz, J+, J-, and J^2.
 
-    Jz is diagonal with entries m; J+ carries sqrt(J(J+1) - m(m+1)) one
-    step up the ladder; Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).
+    Jz is diagonal with entries m; J+ carries the ladder vector one step up
+    the ladder; Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).  J^2 is J(J+1)
+    times the identity in closed form.
     """
     dim = j.dim
-    m = j.m_values()
-    jz = np.diag(m).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    jphys = j.j
-    for col in range(1, dim):
-        # raises m[col] to m[col] + 1, landing on row col-1
-        jp[col - 1, col] = np.sqrt(jphys * (jphys + 1) - m[col] * (m[col] + 1))
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    jsq = jx @ jx + jy @ jy + jz @ jz
+    c = _ladder(j.twice_j)
+    half = c / 2.0
     return SpinOperatorSet(
-        jx=SpinOperator(j, jx, "Jx"),
-        jy=SpinOperator(j, jy, "Jy"),
-        jz=SpinOperator(j, jz, "Jz"),
-        jplus=SpinOperator(j, jp, "J+"),
-        jminus=SpinOperator(j, jm, "J-"),
-        jsq=SpinOperator(j, jsq, "J^2"),
+        jx=SpinOperator(j, _tridiagonal(0.0, half, half, dim), "Jx"),
+        jy=SpinOperator(j, _tridiagonal(0.0, -1j * half, 1j * half, dim), "Jy"),
+        jz=SpinOperator(j, _tridiagonal(j.m_values(), 0.0, 0.0, dim), "Jz"),
+        jplus=SpinOperator(j, _tridiagonal(0.0, c, 0.0, dim), "J+"),
+        jminus=SpinOperator(j, _tridiagonal(0.0, 0.0, c, dim), "J-"),
+        jsq=SpinOperator(j, _tridiagonal(j.j * (j.j + 1.0), 0.0, 0.0, dim), "J^2"),
     )
 
 
 def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
-    """The Hermitian generator u . J of rotations about the axis u."""
-    ops = build_spin_operators(j)
-    mat = u.u[0] * ops.jx.matrix + u.u[1] * ops.jy.matrix + u.u[2] * ops.jz.matrix
-    return SpinOperator(j, mat, label=f"u.J[{u.u[0]:g},{u.u[1]:g},{u.u[2]:g}]")
+    """The Hermitian generator u . J of rotations about the axis u.
+
+    u . J = (ux - i uy)/2 J+ + (ux + i uy)/2 J- + uz Jz is tridiagonal.
+    """
+    ux, uy, uz = u.u
+    half = _ladder(j.twice_j) / 2.0
+    mat = _tridiagonal(uz * j.m_values(), complex(ux, -uy) * half, complex(ux, uy) * half, j.dim)
+    return SpinOperator(j, mat, label=f"u.J[{ux:g},{uy:g},{uz:g}]")
+
+
+def spin_moments(psi: SpinState) -> tuple[np.ndarray, np.ndarray]:
+    """Means and symmetrized covariance matrix of (Jx, Jy, Jz) in psi, in O(d).
+
+    With a the amplitudes and c the ladder vector, every moment is a
+    shifted amplitude product:
+    <J+> = sum c_k a_k* a_{k+1}, <J+^2> = sum c_k c_{k+1} a_k* a_{k+2},
+    <J+ Jz + Jz J+>/2 = sum c_k (m_k + m_{k+1})/2 a_k* a_{k+1}, and
+    <Jx^2 + Jy^2> = J(J+1) - <Jz^2>.  Each sum is divided by the computed
+    sum |a|^2, so round-off in the normalization does not leak into them.
+    """
+    a = psi.amplitudes
+    c = _ladder(psi.j.twice_j)
+    m = psi.j.m_values()
+    prob = np.abs(a) ** 2
+    norm = float(np.sum(prob))
+    up = c * a[1:]
+    jp = np.vdot(a[:-1], up) / norm
+    jp2 = np.vdot(a[:-2], c[:-1] * up[1:]) / norm
+    jzjp = np.vdot(a[:-1], (m[:-1] - 0.5) * up) / norm
+    jz = float(prob @ m) / norm
+    jz2 = float(prob @ (m * m)) / norm
+    # <Jx^2> - <Jy^2> = Re<J+^2> and <Jx Jy + Jy Jx>/2 = Im<J+^2>/2
+    perp = psi.j.j * (psi.j.j + 1.0) - jz2
+    sxy = jp2.imag / 2.0
+    second = np.array(
+        [
+            [(perp + jp2.real) / 2.0, sxy, jzjp.real],
+            [sxy, (perp - jp2.real) / 2.0, jzjp.imag],
+            [jzjp.real, jzjp.imag, jz2],
+        ]
+    )
+    means = np.array([jp.real, jp.imag, jz])
+    return means, second - np.outer(means, means)
 
 
 def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:

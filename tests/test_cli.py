@@ -23,6 +23,7 @@ def test_qfi_noon_prints_value(capsys):
     assert rc == 0
     assert err == ""
     assert float(out.strip()) == pytest.approx(100.0, rel=1e-12)
+    assert out == "100.0\n"  # the README example, to the byte
 
 
 def test_qfi_noon_x_axis(capsys):
@@ -159,6 +160,7 @@ def test_fisher_matrix_subcommand(capsys):
     doc = json.loads(out)
     assert np.allclose(doc["matrix"], np.diag([2.5, 2.5, 25.0]), atol=1e-10)
     assert doc["trace"] == pytest.approx(30.0, rel=1e-12)
+    assert all(isinstance(x, float) for row in doc["matrix"] for x in row)
 
 
 def test_estimate_deterministic_artifacts(capsys, tmp_path):
@@ -221,6 +223,40 @@ def test_error_requires_theta_or_operator(capsys):
     rc, _, err = run_cli(["error", "--state", "noon", "--twice-j", "4"], capsys)
     assert rc == 1
     assert "error" in json.loads(err)
+
+
+def test_axis_with_leading_minus_is_a_value(capsys):
+    rc, out, err = run_cli(
+        ["qfi", "--state", "noon", "--twice-j", "10", "--axis", "-0.2,0.3,0.9"], capsys
+    )
+    assert rc == 0, err
+    rc, joined, _ = run_cli(
+        ["qfi", "--state", "noon", "--twice-j", "10", "--axis=-0.2,0.3,0.9"], capsys
+    )
+    assert rc == 0
+    assert out == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state-check", "--tol", "nan"],
+        ["code-check", "--errors", "I", "--tol", "inf"],
+        ["error", "--state", "noon", "--twice-j", "4", "--theta", "nan"],
+        ["estimate", "--state", "noon", "--twice-j", "4", "--theta-true", "inf"],
+        ["code-check", "--errors", "I,Rz(1e999)"],
+    ],
+)
+def test_non_finite_float_is_input_error(argv, capsys, monkeypatch):
+    state = {"twice_j": 2, "amplitudes": [{"m_times_2": 2, "re": 1.0, "im": 0.0}]}
+    code = {"twice_j": 2, "codewords": [state]}
+    stdin = json.dumps(code if argv[0] == "code-check" else state)
+    rc, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=stdin)
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "finite" in json.loads(lines[0])["error"]
 
 
 def test_qfi_from_state_file(capsys, monkeypatch):

@@ -114,6 +114,12 @@ def test_distribution_validation():
         Distribution(np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        Distribution(np.array([bad, 1.0]))
+
+
 def test_distinguishability_global_phase_and_orthogonal():
     rng = np.random.default_rng(13)
     psi = random_state(SpinJ(4), rng)

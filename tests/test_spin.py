@@ -98,6 +98,20 @@ def test_non_unit_axis_rejected():
         RotationAxis.from_vector([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_axis_rejected(bad):
+    with pytest.raises(ValueError):
+        RotationAxis(np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        RotationAxis.from_vector([bad, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_state_rejected(bad):
+    with pytest.raises(ValueError):
+        SpinState(SpinJ(2), np.array([bad, 0.0, 0.0]))
+
+
 def test_expectation_on_eigenstate():
     j = SpinJ(6)
     ops = build_spin_operators(j)
