@@ -7,19 +7,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .spin import (
     SpinJ,
     SpinOperator,
     SpinState,
     apply,
+    check_tolerance,
     expectation_and_variance,
 )
 
 ORTHONORMAL_TOL = 1e-10
-_GRID_POLAR = 32
-_GRID_AZIMUTH = 64
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden section stops at this width relative to the bracket of the dual
+_DUAL_RTOL = 1e-14
+# eigenvalues of A2 - 2 lam* A1 this close to the top one (relative to the
+# spectral radius) count as one crossing cluster
+_CLUSTER_RTOL = 1e-9
 
 
 @dataclass
@@ -133,8 +137,7 @@ def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionR
     """Check the detection condition <i|E_a|j> = delta_ij C_a for every error."""
     if errors.j != code.j:
         raise ValueError("error set does not match the code space dimension")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     basis = code.basis_matrix()
     c_vec = np.zeros(len(errors.ops), dtype=complex)
     max_off = 0.0
@@ -152,8 +155,7 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
     """Check the Knill-Laflamme condition <i|E_a^dag E_b|j> = delta_ij C_ab."""
     if errors.j != code.j:
         raise ValueError("error set does not match the code space dimension")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     basis = code.basis_matrix()
     images = [err.matrix @ basis for err in errors.ops]
     n = len(errors.ops)
@@ -203,53 +205,24 @@ def error_with_recovery(psi: SpinState, errors: ErrorSet, recoveries: RecoverySe
     return max(total, 0.0)
 
 
-def _variance_on_subspace(c: np.ndarray, a2: np.ndarray, a1: np.ndarray) -> float:
-    """Var(G) at the unit coefficient vector c, with A2 = B'G^2B, A1 = B'GB."""
-    mean = float(np.real(np.vdot(c, a1 @ c)))
-    return float(np.real(np.vdot(c, a2 @ c))) - mean * mean
-
-
-def _refine_on_sphere(c0: np.ndarray, a2: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Local ascent of Var(G) over unit vectors of the codeword subspace."""
-    k = c0.size
-
-    def split(x: np.ndarray) -> np.ndarray:
-        return x[:k] + 1j * x[k:]
-
-    def neg_var_and_grad(x: np.ndarray):
-        z = split(x)
-        w = float(np.real(np.vdot(z, z)))
-        a2z = a2 @ z
-        a1z = a1 @ z
-        u = float(np.real(np.vdot(z, a2z)))
-        v = float(np.real(np.vdot(z, a1z)))
-        f = u / w - (v / w) ** 2
-        # Wirtinger d f / d conj(z), then the real 2k-vector gradient
-        gz = (a2z * w - u * z) / w**2 - 2.0 * (v / w) * (a1z * w - v * z) / w**2
-        grad = np.concatenate([2.0 * np.real(gz), 2.0 * np.imag(gz)])
-        return -f, -grad
-
-    x0 = np.concatenate([np.real(c0), np.imag(c0)])
-    res = optimize.minimize(
-        neg_var_and_grad,
-        x0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": 1e-10, "maxiter": 500},
-    )
-    z = split(res.x)
-    return z / np.linalg.norm(z)
-
-
 def max_error_over_code(
     code: CodeSpace, g: SpinOperator, theta: float
 ) -> tuple[SpinState, float]:
     """Worst codeword-superposition error theta^2 max Var(G) over the code.
 
-    Multi-start search: a 32x64 polar/azimuth grid on every codeword pair,
-    plus the bare codewords, each refined by gradient ascent on the unit
-    sphere of the code subspace.  Deterministic for a fixed code (grid ties
-    go to the first index), and never below the value at any bare codeword.
+    Exact by convex duality.  With A1 = B'GB and A2 = B'G^2B the joint
+    numerical range of (A1, A2) is convex, so
+
+        max over unit c of Var_c(G) = min over lam of lam_max(A2 - 2 lam A1) + lam^2
+
+    with no gap.  The convex right side is minimized by golden section over
+    [lam_min(A1), lam_max(A1)], which holds the minimizer lam* = <G> at the
+    worst state.  That state lies in the top eigenspace of A2 - 2 lam* A1,
+    taken as the eigenvalues within 1e-9 of the top one relative to the
+    spectral radius.  Inside it the lowest and highest eigenvectors of A1
+    are mixed so that <A1> = lam*: at an eigenvalue crossing (the NOON pair
+    under Jz) a bare top eigenvector can have zero variance.  The returned
+    error is theta^2 times the variance at the returned state.  Deterministic.
     """
     if abs(theta) > 0.1:
         raise ValueError(f"|theta| must be <= 0.1 for the small-angle form, got {theta!r}")
@@ -259,46 +232,46 @@ def max_error_over_code(
         raise ValueError("generator does not match the code space dimension")
     basis = code.basis_matrix()
     k = len(code.codewords)
-    a2 = basis.conj().T @ (g.matrix @ g.matrix) @ basis
-    a1 = basis.conj().T @ g.matrix @ basis
+    gb = g.matrix @ basis
+    a1 = basis.conj().T @ gb
+    # Var is unchanged by G -> G - s; centring A1 puts every scale below on
+    # the spread of G over the code, not on its mean
+    shift = float(np.real(np.trace(a1))) / k
+    gb = gb - shift * basis
+    a1 = a1 - shift * np.eye(k)
+    a2 = gb.conj().T @ gb
 
-    starts: list[np.ndarray] = []
-    for i in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[i] = 1.0
-        starts.append(e)
-    polar = np.linspace(0.0, math.pi, _GRID_POLAR)
-    azimuth = np.linspace(0.0, 2.0 * math.pi, _GRID_AZIMUTH, endpoint=False)
-    for i in range(k):
-        for l in range(i + 1, k):
-            idx = [i, l]
-            a2_p = a2[np.ix_(idx, idx)]
-            a1_p = a1[np.ix_(idx, idx)]
-            best_val = -np.inf
-            best_c2 = None
-            for t in polar:
-                for ph in azimuth:
-                    c2 = np.array([math.cos(t / 2.0), math.sin(t / 2.0) * np.exp(1j * ph)])
-                    val = _variance_on_subspace(c2, a2_p, a1_p)
-                    if val > best_val:
-                        best_val = val
-                        best_c2 = c2
-            c = np.zeros(k, dtype=complex)
-            c[i], c[l] = best_c2
-            starts.append(c)
+    def dual(lam: float) -> float:
+        return float(np.linalg.eigvalsh(a2 - 2.0 * lam * a1)[-1]) + lam * lam
 
-    best_c = starts[0]
-    best_var = _variance_on_subspace(best_c, a2, a1)
-    for c0 in starts:
-        for cand in (c0, _refine_on_sphere(c0, a2, a1)):
-            val = _variance_on_subspace(cand, a2, a1)
-            if val > best_var:
-                best_var = val
-                best_c = cand
+    spectrum = np.linalg.eigvalsh(a1)
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    width_tol = _DUAL_RTOL * max(abs(lo), abs(hi))
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = dual(x1), dual(x2)
+    while hi - lo > width_tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = dual(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = dual(x2)
+    lam = x1 if f1 <= f2 else x2
 
-    vec = basis @ best_c
-    vec = vec / np.linalg.norm(vec)
-    return SpinState(code.j, vec), theta * theta * best_var
+    vals, vecs = np.linalg.eigh(a2 - 2.0 * lam * a1)
+    radius = max(abs(float(vals[0])), abs(float(vals[-1])))
+    top = vecs[:, vals >= vals[-1] - _CLUSTER_RTOL * radius]
+    mu, rot = np.linalg.eigh(top.conj().T @ a1 @ top)
+    c_lo, c_hi = top @ rot[:, 0], top @ rot[:, -1]
+    spread = float(mu[-1] - mu[0])
+    weight = min(max((lam - float(mu[0])) / spread, 0.0), 1.0) if spread > 0 else 0.0
+    c = math.sqrt(1.0 - weight) * c_lo + math.sqrt(weight) * c_hi
+
+    vec = basis @ c
+    worst = SpinState(code.j, vec / np.linalg.norm(vec))
+    return worst, error_small_theta(worst, g, theta)
 
 
 def ae_codewords(j: SpinJ, m1: int, m2: int) -> CodeSpace:
@@ -336,6 +309,7 @@ def ae_codewords(j: SpinJ, m1: int, m2: int) -> CodeSpace:
 def dfs_check(code: CodeSpace, g: SpinOperator, tol: float = 1e-10) -> bool:
     """True when all codewords are degenerate eigenstates of the generator,
     i.e. the code space is decoherence-free for exp(-i theta G)."""
+    check_tolerance(tol)
     if not g.is_hermitian():
         raise ValueError(f"operator {g.label!r} is not Hermitian")
     eigvals = []

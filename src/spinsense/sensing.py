@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .spin import RotationAxis, SpinJ, SpinState, spin_moments
+from .spin import RotationAxis, SpinJ, SpinState, check_tolerance, spin_moments
 
 MOMENT_TARGET_TOL = 1e-12
 
@@ -131,8 +130,7 @@ def rotation_qfi(psi: SpinState, u: RotationAxis) -> float:
 
 def anticoherence_report(psi: SpinState, tol: float) -> AnticoherenceReport:
     """Certify <J_i> = 0 (order 1) and M = (J(J+1)/3) I (order 2) at tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     means, cov = spin_moments(psi)
     max_first = float(np.max(np.abs(means)))
     jphys = psi.j.j
@@ -212,7 +210,15 @@ def _solve_shell_masses(values: Sequence[float], target: float) -> np.ndarray:
         hi_l *= 2.0
         if hi_l > 1e6:
             raise FeasibilityError("entropy solve failed to bracket the target moment")
-    lam = optimize.brentq(moment_gap, lo_l, hi_l, xtol=1e-13, rtol=8.9e-16)
+    # bisection down to the width brentq(xtol=1e-13, rtol=4 eps) would stop at
+    eps = float(np.finfo(float).eps)
+    while hi_l - lo_l > 1e-13 + 4.0 * eps * max(abs(lo_l), abs(hi_l)):
+        mid = 0.5 * (lo_l + hi_l)
+        if moment_gap(mid) > 0.0:
+            lo_l = mid
+        else:
+            hi_l = mid
+    lam = 0.5 * (lo_l + hi_l)
     # two Newton polish steps: d(moment)/d(lam) = -Var_p(values)
     for _ in range(2):
         p = masses(lam)

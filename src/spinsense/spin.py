@@ -23,6 +23,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not a positive finite number (NaN included)."""
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SpinJ:
     """Total angular momentum, stored as 2J so half-integer values stay exact."""
@@ -148,6 +154,8 @@ class SpinOperator:
             raise ValueError(
                 f"matrix must be {self.j.dim}x{self.j.dim}, got shape {mat.shape}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"operator {self.label!r} matrix entries must be finite")
         self.matrix = _frozen(mat)
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:

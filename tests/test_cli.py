@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -283,6 +285,37 @@ def test_qfi_with_generator_file(capsys, tmp_path):
     )
     assert rc == 0
     assert float(out.strip()) == pytest.approx(16.0, rel=1e-12)
+
+
+def test_qfi_non_finite_generator_is_input_error(capsys, tmp_path):
+    doc = {
+        "twice_j": 2,
+        "label": "G",
+        "matrix_re": [[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "matrix_im": [[0.0] * 3] * 3,
+    }
+    gen_file = tmp_path / "g.json"
+    gen_file.write_text(json.dumps(doc))
+    rc, out, err = run_cli(
+        ["qfi", "--state", "noon", "--twice-j", "2", "--generator-file", str(gen_file)], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "finite" in json.loads(lines[0])["error"]
+
+
+def test_import_leaves_scipy_unloaded():
+    import spinsense
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, spinsense, spinsense.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_code_check_with_error_file(capsys, monkeypatch, tmp_path):

@@ -106,6 +106,17 @@ def test_non_orthonormal_codewords_rejected():
         CodeSpace(j, [SpinState(j, v), basis_state(j, 2)])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_checks_reject_bad_tolerance(tol):
+    errors = ErrorSet([_identity(J6)])
+    with pytest.raises(ValueError, match="tolerance"):
+        detection_check(_ae_code(), errors, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        kl_check(_ae_code(), errors, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        dfs_check(_ae_code(), build_spin_operators(J6).jz, tol)
+
+
 def test_error_of_state_identity_and_eigenstate():
     j = SpinJ(4)
     psi = basis_state(j, 2)
@@ -253,6 +264,44 @@ def test_max_error_never_below_bare_codewords():
         _, err = max_error_over_code(code, g, theta)
         for w in code.codewords:
             assert err >= error_small_theta(w, g, theta) - 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_max_error_matches_state_and_beats_random_superpositions(k):
+    rng = np.random.default_rng(200 + k)
+    theta = 0.05
+    for twice_j in (max(3, k - 1), 7, 12):
+        j = SpinJ(twice_j)
+        u = random_unitary(j.dim, rng)
+        code = CodeSpace(j, [SpinState(j, u[:, i]) for i in range(k)])
+        g = random_hermitian(j, rng, norm=twice_j / 2.0)
+        worst, err = max_error_over_code(code, g, theta)
+        assert error_small_theta(worst, g, theta) == pytest.approx(err, rel=1e-12)
+        # plain numpy variance at random unit superpositions of the codewords
+        basis = code.basis_matrix()
+        for _ in range(200):
+            c = rng.normal(size=k) + 1j * rng.normal(size=k)
+            v = basis @ (c / np.linalg.norm(c))
+            gv = g.matrix @ v
+            var = np.vdot(gv, gv).real - np.vdot(v, gv).real ** 2
+            assert err >= theta * theta * var * (1.0 - 1e-12)
+
+
+def test_max_error_exact_crossing():
+    # every superposition of the AE codewords has the same variance under Jz
+    # and Jx; the basis states m = 6, 0, -2 cross at <Jz> = 2 off the centre
+    # of the <Jz> range, where only the balanced |6>, |-2> mix has Var = 16
+    theta = 0.05
+    ops = build_spin_operators(J6)
+    cases = [
+        (_ae_code(), ops.jz, 9.0),
+        (_ae_code(), ops.jx, (42.0 - 9.0) / 2.0),
+        (CodeSpace(J6, [basis_state(J6, 12), basis_state(J6, 0), basis_state(J6, -4)]), ops.jz, 16.0),
+    ]
+    for code, g, var in cases:
+        worst, err = max_error_over_code(code, g, theta)
+        assert err == pytest.approx(theta * theta * var, rel=1e-12)
+        assert error_small_theta(worst, g, theta) == pytest.approx(err, rel=1e-12)
 
 
 def test_ae_codeword_amplitudes():

@@ -105,6 +105,12 @@ def test_anticoherence_report_cases():
     assert rep.order1 and rep.order2
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_anticoherence_report_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        anticoherence_report(noon_state(SpinJ(4)), tol)
+
+
 def test_noon_state_properties():
     half = noon_state(SpinJ(1))
     assert np.allclose(np.abs(half.amplitudes), [1 / math.sqrt(2)] * 2)

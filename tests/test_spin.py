@@ -112,6 +112,17 @@ def test_non_finite_state_rejected(bad):
         SpinState(SpinJ(2), np.array([bad, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_operator_rejected(bad):
+    m = np.zeros((3, 3), dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpinOperator(SpinJ(2), m, "G")
+    doc = {"twice_j": 2, "matrix_re": m.real.tolist(), "matrix_im": m.imag.tolist()}
+    with pytest.raises(ValueError, match="finite"):
+        SpinOperator.from_json_dict(doc)
+
+
 def test_expectation_on_eigenstate():
     j = SpinJ(6)
     ops = build_spin_operators(j)
