@@ -8,65 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import qfi
+from .metrics import _SurvivalModel, qfi
 from .spin import SpinOperator, SpinState
 
 _BISECT_TOL = 1e-12
-_SCAN_POINTS = 4096
-
-
-class _SurvivalModel:
-    """Survival probability P(theta) = |<psi|exp(-i theta G)|psi>|^2 and its
-    derivative, precomputed from one eigendecomposition of G."""
-
-    def __init__(self, psi: SpinState, g: SpinOperator):
-        if g.j != psi.j:
-            raise ValueError("generator does not match the state dimension")
-        if not g.is_hermitian():
-            raise ValueError(f"generator {g.label!r} is not Hermitian")
-        evals, evecs = np.linalg.eigh(g.matrix)
-        weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
-        keep = weights > 0.0
-        self.evals = evals[keep]
-        self.weights = weights[keep]
-
-    def amplitude(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.sum(self.weights * np.exp(-1j * np.outer(theta, self.evals)), axis=-1)
-
-    def prob(self, theta):
-        p = np.abs(self.amplitude(np.atleast_1d(theta))) ** 2
-        p = np.clip(p, 0.0, 1.0)
-        return float(p[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else p
-
-    def dprob(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phases = np.exp(-1j * np.outer(theta, self.evals))
-        s = phases @ self.weights
-        ds = phases @ (-1j * self.evals * self.weights)
-        d = 2.0 * np.real(np.conj(s) * ds)
-        return float(d[0]) if d.size == 1 else d
-
-    def spread(self) -> float:
-        if self.evals.size < 2:
-            return 0.0
-        return float(self.evals.max() - self.evals.min())
-
-    def first_slope_peak(self) -> float:
-        """First maximum of |dP/dtheta| away from the stationary point at 0.
-
-        P is even around 0 with P'(0) = 0, so P is strictly monotone up to
-        this angle and the inversion estimator is well posed on (0, peak].
-        """
-        spread = self.spread()
-        if spread == 0.0:
-            raise ValueError("degenerate model: the state is an eigenstate of the generator")
-        thetas = np.linspace(0.0, 2.0 * math.pi / spread, _SCAN_POINTS)[1:]
-        slope = np.abs(self.dprob(thetas))
-        for i in range(1, slope.size):
-            if slope[i] < slope[i - 1]:
-                return float(thetas[i - 1])
-        return float(thetas[-1])
 
 
 @dataclass
@@ -129,7 +74,7 @@ class EstimationResult:
 
 def survival_probability(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """P(theta) = |<psi|exp(-i theta G)|psi>|^2, clipped into [0, 1]."""
-    return _SurvivalModel(psi, g).prob(float(theta))
+    return float(_SurvivalModel(psi, g).evaluate(float(theta))[0][0])
 
 
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -152,12 +97,16 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
     return counts
 
 
-def _invert_monotone(model: _SurvivalModel, target: float, bracket: tuple[float, float]) -> float:
+def _invert_monotone(
+    model: _SurvivalModel, targets: np.ndarray, bracket: tuple[float, float]
+) -> np.ndarray:
+    """Bisect all targets at once, each to its own width _BISECT_TOL; targets
+    outside the range of P on the bracket clip to the matching endpoint."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
     grid = np.linspace(lo, hi, 257)
-    slopes = model.dprob(grid)
+    probs, slopes = model.evaluate(grid)
     scale = float(np.max(np.abs(slopes)))
     if scale == 0.0:
         raise ValueError("degenerate model: P(theta) is flat on the bracket")
@@ -166,21 +115,21 @@ def _invert_monotone(model: _SurvivalModel, target: float, bracket: tuple[float,
         raise ValueError("non-monotone bracket: dP/dtheta changes sign inside it")
     increasing = signs[0] > 0 if signs.size else True
 
-    p_lo, p_hi = model.prob(lo), model.prob(hi)
-    p_min, p_max = (p_lo, p_hi) if increasing else (p_hi, p_lo)
-    if target <= p_min:
-        return lo if increasing else hi
-    if target >= p_max:
-        return hi if increasing else lo
-
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        above = model.prob(mid) < target
-        if above == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    p_min, p_max = (probs[0], probs[-1]) if increasing else (probs[-1], probs[0])
+    lows = np.full(targets.shape, lo)
+    highs = np.full(targets.shape, hi)
+    live = np.flatnonzero((targets > p_min) & (targets < p_max))
+    live = live[highs[live] - lows[live] > _BISECT_TOL]
+    while live.size:
+        mid = 0.5 * (lows[live] + highs[live])
+        up = (model.evaluate(mid)[0] < targets[live]) == increasing
+        lows[live[up]] = mid[up]
+        highs[live[~up]] = mid[~up]
+        live = live[highs[live] - lows[live] > _BISECT_TOL]
+    theta = 0.5 * (lows + highs)
+    theta[targets >= p_max] = hi if increasing else lo
+    theta[targets <= p_min] = lo if increasing else hi
+    return theta
 
 
 def estimate_theta(
@@ -198,7 +147,7 @@ def estimate_theta(
     """
     if not 0 <= count <= trials:
         raise ValueError(f"count must lie in [0, {trials}], got {count}")
-    return _invert_monotone(_SurvivalModel(psi, g), count / trials, bracket)
+    return float(_invert_monotone(_SurvivalModel(psi, g), np.array([count / trials]), bracket)[0])
 
 
 def crb_report(config: EstimationConfig) -> EstimationResult:
@@ -216,8 +165,7 @@ def crb_report(config: EstimationConfig) -> EstimationResult:
         )
     counts = simulate_trials(config)
     n = config.trials_per_run
-    bracket = (0.0, theta_peak)
-    theta_hats = np.array([_invert_monotone(model, c / n, bracket) for c in counts])
+    theta_hats = _invert_monotone(model, counts / n, (0.0, theta_peak))
     empirical = float(np.std(theta_hats, ddof=1))
     crb = 1.0 / math.sqrt(n * fisher)
     return EstimationResult(

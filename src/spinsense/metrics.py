@@ -9,10 +9,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spin import SpinOperator, SpinState, apply, expectation_and_variance, generator_unitary
+from .spin import SpinOperator, SpinState, apply, expectation_and_variance
 
 PROJECTOR_TOL = 1e-10
 _DERIV_SUM_TOL = 1e-10
+_SCAN_POINTS = 4096
 
 
 @dataclass
@@ -191,9 +192,58 @@ def qfi_finite_difference(psi: SpinState, g: SpinOperator, theta_step: float) ->
     One-sided quotient 4 (Lambda(step)/step)^2; Lambda is even in theta
     around 0 (and nonsmooth there in the signed sense), so a central
     difference would be wrong.  Serves as the independent oracle for `qfi`.
+    In the eigenbasis of G the overlap is the survival amplitude ov and the
+    orthogonal part is sqrt(sum_k w_k |e^{-i step lambda_k} - ov|^2), which
+    avoids the cancellation of arccos near overlap 1.
     """
     if not 0.0 < theta_step <= 1e-2:
         raise ValueError(f"theta_step must lie in (0, 1e-2], got {theta_step!r}")
-    u = generator_unitary(g, theta_step)
-    lam, _, _ = _overlap_angle(psi.amplitudes, apply(u, psi))
+    model = _SurvivalModel(psi, g)
+    phases, ov = model.amplitude(theta_step)
+    orth = math.sqrt(float(np.sum(model.weights * np.abs(phases[0] - ov[0]) ** 2)))
+    lam = math.atan2(orth, abs(ov[0]))
     return 4.0 * (lam / theta_step) ** 2
+
+
+class _SurvivalModel:
+    """Survival amplitude <psi|exp(-i theta G)|psi> = sum_k w_k e^{-i theta lambda_k},
+    from one eigendecomposition G = sum_k lambda_k |v_k><v_k| and the weights
+    w_k = |<v_k|psi>|^2 (zero weights dropped)."""
+
+    def __init__(self, psi: SpinState, g: SpinOperator):
+        if g.j != psi.j:
+            raise ValueError("generator does not match the state dimension")
+        if not g.is_hermitian():
+            raise ValueError(f"generator {g.label!r} is not Hermitian")
+        evals, evecs = np.linalg.eigh(g.matrix)
+        weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
+        keep = weights > 0.0
+        self.evals = evals[keep]
+        self.weights = weights[keep]
+
+    def amplitude(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """The phase matrix e^{-i theta_n lambda_k}, one row per angle, and the
+        survival amplitude at each angle."""
+        phases = np.exp(-1j * np.outer(theta, self.evals))
+        return phases, np.sum(self.weights * phases, axis=-1)
+
+    def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """P(theta) = |amplitude|^2, clipped into [0, 1], and dP/dtheta at
+        every angle of the array theta."""
+        phases, amp = self.amplitude(theta)
+        damp = np.sum((-1j * self.evals * self.weights) * phases, axis=-1)
+        return np.clip(np.abs(amp) ** 2, 0.0, 1.0), 2.0 * np.real(np.conj(amp) * damp)
+
+    def first_slope_peak(self) -> float:
+        """First maximum of |dP/dtheta| away from the stationary point at 0.
+
+        P is even around 0 with P'(0) = 0, so P is strictly monotone up to
+        this angle and the inversion estimator is well posed on (0, peak].
+        """
+        spread = float(self.evals.max() - self.evals.min())
+        if spread == 0.0:
+            raise ValueError("degenerate model: the state is an eigenstate of the generator")
+        thetas = np.linspace(0.0, 2.0 * math.pi / spread, _SCAN_POINTS)[1:]
+        slope = np.abs(self.evaluate(thetas)[1])
+        falls = np.flatnonzero(slope[1:] < slope[:-1])
+        return float(thetas[falls[0]] if falls.size else thetas[-1])

@@ -16,6 +16,8 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 AXIS_TOL = 1e-12
+# Largest 2J for which a dense (2J+1)^2 complex matrix is built: 268 MB at 4096.
+MAX_DENSE_TWICE_J = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -256,6 +258,8 @@ def _ladder(twice_j: int) -> np.ndarray:
 
 def _tridiagonal(diag, upper, lower, dim: int) -> np.ndarray:
     """Dense complex dim x dim matrix with the given main, upper and lower diagonals."""
+    if dim - 1 > MAX_DENSE_TWICE_J:
+        raise ValueError(f"2J = {dim - 1} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
     mat = np.zeros((dim, dim), dtype=complex)
     flat = mat.reshape(-1)
     flat[:: dim + 1] = diag

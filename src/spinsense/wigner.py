@@ -185,24 +185,31 @@ def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:
     return ReducedElement(j, k, float(value.real))
 
 
-@lru_cache(maxsize=256)
-def _reduced_value(twice_j: int, k: int) -> float:
-    return reduced_matrix_element(SpinJ(twice_j), k).value
+def _closed_form_reduced(twice_j: int, k: int) -> float:
+    """<J||T^(k)||J> in closed form (Edmonds convention), with tj = 2J:
+    sqrt(tj (tj+2) (tj+1) / 4) for k = 1 and
+    sqrt((tj-1) tj (tj+1) (tj+2) (tj+3) / 6) / 2 for k = 2."""
+    tj = twice_j
+    if k == 1:
+        return math.sqrt(tj * (tj + 2) * (tj + 1) / 4.0)
+    return 0.5 * math.sqrt((tj - 1) * tj * (tj + 1) * (tj + 2) * (tj + 3) / 6.0)
 
 
 def we_expectation(psi: SpinState, k: int, q: int) -> complex:
     """<psi| T_q^(k) |psi> via the Wigner-Eckart 3j-weighted coefficient sum.
 
     Independent of the dense matrix route: only amplitudes, 3j symbols and
-    the reduced matrix element enter.
+    the closed-form reduced matrix element enter.
     """
+    if k not in (1, 2):
+        raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
     if abs(q) > k:
         raise ValueError(f"component q={q} out of range for rank {k}")
     j = psi.j
     tj = j.twice_j
     if tj < k:
         raise ValueError(f"no rank-{k} tensor on 2J={tj}: need 2J >= k")
-    rme = _reduced_value(tj, k)
+    rme = _closed_form_reduced(tj, k)
     amps = psi.amplitudes
     total = 0.0 + 0.0j
     tm_lo = max(-tj, -tj - 2 * q)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -343,3 +344,48 @@ def test_construct_rejects_bad_support(capsys):
     rc, _, err = run_cli(["construct", "--twice-j", "6", "--support", "0,1"], capsys)
     assert rc == 1
     assert "infeasible" in json.loads(err)["error"]
+
+
+def test_oversized_twice_j_is_input_error(capsys):
+    rc, out, err = run_cli(
+        ["error", "--state", "noon", "--twice-j", "1000000", "--theta", "0.01"], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "2J <= 4096" in json.loads(lines[0])["error"]
+    # the O(d) moment route has no dense limit
+    rc, out, _ = run_cli(["qfi", "--state", "noon", "--twice-j", "1000000", "--axis", "z"], capsys)
+    assert rc == 0
+    assert out == "1000000000000.0\n"
+
+
+def _readme_commands():
+    """The sh block under "## Command line" in README.md, one command per entry."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Command line") :]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start : section.index("```", start)]
+    return [cmd.split("#")[0].strip() for cmd in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 7
+    outputs = {}
+    for command in commands:
+        stdin_text = None
+        for stage in command.split("|"):
+            argv = shlex.split(stage)
+            assert argv[0] == "spinsense"
+            if stdin_text is not None:
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            rc, stdin_text, err = run_cli(argv[1:], capsys)
+            assert rc == 0, (stage, err)
+        outputs[command] = stdin_text
+    assert outputs["spinsense qfi --state noon --twice-j 10 --axis z"] == "100.0\n"
+    assert (tmp_path / "runs.csv").read_text().startswith("run,theta_hat\n0,")

@@ -7,6 +7,7 @@ from spinsense import (
     EstimationConfig,
     RotationAxis,
     SpinJ,
+    axis_generator,
     basis_state,
     build_spin_operators,
     crb_report,
@@ -16,6 +17,8 @@ from spinsense import (
     simulate_trials,
     survival_probability,
 )
+from spinsense.metrics import _SurvivalModel
+from helpers import random_state
 
 J2 = SpinJ(4)
 JZ = build_spin_operators(J2).jz
@@ -142,6 +145,23 @@ def test_crb_report_deterministic():
     b = crb_report(_noon_config())
     assert np.array_equal(a.theta_hats, b.theta_hats)
     assert a.empirical_sigma == b.empirical_sigma
+
+
+def test_crb_report_matches_per_count_estimates():
+    rng = np.random.default_rng(71)
+    j = SpinJ(5)
+    psi = random_state(j, rng)
+    g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+    peak = _SurvivalModel(psi, g).first_slope_peak()
+    configs = [
+        _noon_config(),
+        _noon_config(psi=psi, generator=g, theta_true=0.4 * peak, trials_per_run=1000, runs=50),
+    ]
+    for cfg in configs:
+        bracket = (0.0, _SurvivalModel(cfg.psi, cfg.generator).first_slope_peak())
+        n = cfg.trials_per_run
+        one_by_one = [estimate_theta(c, n, cfg.psi, cfg.generator, bracket) for c in simulate_trials(cfg)]
+        assert np.array_equal(crb_report(cfg).theta_hats, one_by_one)
 
 
 def test_crb_report_rejects_degenerate_model():

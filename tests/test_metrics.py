@@ -211,6 +211,21 @@ def test_qfi_finite_difference_matches_qfi_random():
         assert qfi_finite_difference(psi, g, 1e-4) == pytest.approx(qfi(psi, g), rel=1e-5)
 
 
+@pytest.mark.parametrize("twice_j", [1, 2, 5, 40, 100])
+def test_qfi_finite_difference_matches_dense_rotation(twice_j):
+    # reference: rotate psi with the dense exp(-i step G), then the overlap angle
+    rng = np.random.default_rng(100 + twice_j)
+    j = SpinJ(twice_j)
+    for step in (1e-4, 1e-3 / twice_j):
+        psi = random_state(j, rng)
+        g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+        phi = generator_unitary(g, step).matrix @ psi.amplitudes
+        ov = np.vdot(psi.amplitudes, phi)
+        lam = math.atan2(np.linalg.norm(phi - ov * psi.amplitudes), abs(ov))
+        dense = 4.0 * (lam / step) ** 2
+        assert qfi_finite_difference(psi, g, step) == pytest.approx(dense, rel=1e-10)
+
+
 def test_qfi_finite_difference_step_validation():
     j = SpinJ(2)
     g = build_spin_operators(j).jz

@@ -9,6 +9,7 @@ from spinsense import (
     SpinOperator,
     SpinState,
     apply,
+    axis_generator,
     basis_state,
     build_spin_operators,
     expectation_and_variance,
@@ -18,6 +19,7 @@ from spinsense import (
     rotation_unitary,
 )
 from helpers import random_hermitian, random_state
+from spinsense.spin import MAX_DENSE_TWICE_J
 
 
 def test_jz_diagonal_spin_half():
@@ -121,6 +123,22 @@ def test_non_finite_operator_rejected(bad):
     doc = {"twice_j": 2, "matrix_re": m.real.tolist(), "matrix_im": m.imag.tolist()}
     with pytest.raises(ValueError, match="finite"):
         SpinOperator.from_json_dict(doc)
+
+
+def test_dense_operators_refuse_oversized_spin(monkeypatch):
+    # the limit is checked before the (2J+1)^2 allocation, so this is fast
+    j = SpinJ(10**6)
+    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
+        build_spin_operators(j)
+    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
+        axis_generator(j, RotationAxis.z())
+    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
+        rotation_unitary(j, 0.1, RotationAxis.x())
+    # the boundary itself, on a lowered limit so that nothing large is built
+    monkeypatch.setattr("spinsense.spin.MAX_DENSE_TWICE_J", 8)
+    assert build_spin_operators(SpinJ(8)).jz.matrix.shape == (9, 9)
+    with pytest.raises(ValueError, match="2J <= 8"):
+        build_spin_operators(SpinJ(9))
 
 
 def test_expectation_on_eigenstate():

@@ -159,6 +159,18 @@ def test_reduced_element_rank1_closed_form():
         assert reduced_matrix_element(SpinJ(twice_j), 1).value == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("twice_j", [2, 3, 4, 7, 12, 40])
+def test_reduced_element_matches_closed_forms(twice_j):
+    # Edmonds convention: <J||T1||J> = sqrt(J(J+1)(2J+1)),
+    # <J||T2||J> = sqrt((2J-1) 2J (2J+1) (2J+2) (2J+3) / 6) / 2
+    tj = twice_j
+    rank1 = math.sqrt(tj * (tj + 2) * (tj + 1) / 4.0)
+    rank2 = 0.5 * math.sqrt((tj - 1) * tj * (tj + 1) * (tj + 2) * (tj + 3) / 6.0)
+    j = SpinJ(twice_j)
+    assert reduced_matrix_element(j, 1).value == pytest.approx(rank1, rel=1e-14)
+    assert reduced_matrix_element(j, 2).value == pytest.approx(rank2, rel=1e-14)
+
+
 def test_reduced_element_consistent_across_elements():
     for twice_j, k in ((2, 1), (4, 2), (12, 2), (5, 2)):
         j = SpinJ(twice_j)
@@ -194,6 +206,12 @@ def test_rank2_needs_at_least_j_one():
         reduced_matrix_element(SpinJ(1), 2)
     with pytest.raises(ValueError):
         we_expectation(basis_state(SpinJ(1), 1), 2, 0)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_we_expectation_rejects_unsupported_rank(k):
+    with pytest.raises(ValueError, match="unsupported tensor rank"):
+        we_expectation(basis_state(SpinJ(6), 2), k, 0)
 
 
 def test_we_expectation_zero_cases():
