@@ -112,17 +112,8 @@ def _parse_axis(text: str) -> spin.RotationAxis:
 
 
 def _named_operator(name: str, j: spin.SpinJ) -> spin.SpinOperator:
-    ops = spin.build_spin_operators(j)
-    table = {
-        "I": spin.SpinOperator(j, np.eye(j.dim, dtype=complex), "I"),
-        "Jx": ops.jx,
-        "Jy": ops.jy,
-        "Jz": ops.jz,
-        "J+": ops.jplus,
-        "J-": ops.jminus,
-    }
-    if name in table:
-        return table[name]
+    if name in ("I", "Jx", "Jy", "Jz", "J+", "J-"):
+        return spin._standard_operator(j, name)
     m = _RZ_RE.match(name)
     if m:
         axis = _parse_axis(m.group(1))

@@ -12,6 +12,8 @@ from .metrics import _SurvivalModel, qfi
 from .spin import SpinOperator, SpinState
 
 _BISECT_TOL = 1e-12
+# Generator.binomial takes the trial count as a signed 64-bit integer
+_MAX_TRIALS = 2**63 - 1
 
 
 @dataclass
@@ -36,8 +38,13 @@ class EstimationConfig:
             raise ValueError("generator does not match the state dimension")
         if not self.generator.is_hermitian():
             raise ValueError("generator must be Hermitian")
-        if not isinstance(self.trials_per_run, (int, np.integer)) or self.trials_per_run < 100:
-            raise ValueError(f"trials_per_run must be an integer >= 100, got {self.trials_per_run!r}")
+        if (
+            not isinstance(self.trials_per_run, (int, np.integer))
+            or not 100 <= self.trials_per_run <= _MAX_TRIALS
+        ):
+            raise ValueError(
+                f"trials_per_run must be an integer in [100, 2**63 - 1], got {self.trials_per_run!r}"
+            )
         if not isinstance(self.runs, (int, np.integer)) or self.runs < 1:
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
@@ -51,18 +58,27 @@ class EstimationConfig:
 
 @dataclass
 class EstimationResult:
-    """Per-run estimates plus the empirical/CRB standard deviations."""
+    """Per-run estimates plus the empirical/CRB standard deviations.
+
+    The estimates come from inverting P on the window (0, theta_peak];
+    clipped_runs counts the runs whose frequency fell outside the range of
+    P there and so were set to an endpoint of the window.
+    """
 
     theta_hats: np.ndarray
     empirical_sigma: float
     crb_sigma: float
     ratio: float
+    clipped_runs: int
+    theta_peak: float
 
     def summary_dict(self) -> dict:
         return {
             "empirical_sigma": self.empirical_sigma,
             "crb_sigma": self.crb_sigma,
             "ratio": self.ratio,
+            "clipped_runs": self.clipped_runs,
+            "theta_peak": self.theta_peak,
         }
 
     def to_csv(self) -> str:
@@ -78,30 +94,36 @@ def survival_probability(psi: SpinState, g: SpinOperator, theta: float) -> float
 
 
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
-    # counter-based streams keyed on (seed, run) make parallel order irrelevant
-    return np.random.Generator(np.random.Philox(key=[seed, run_index]))
+    # counter-based streams keyed on (seed, run) make parallel order irrelevant;
+    # an explicit uint64 key, since a plain list of a seed near 2**64 passes
+    # through float64 and collapses to the key 0
+    return np.random.Generator(np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64)))
 
 
 def simulate_trials(config: EstimationConfig) -> np.ndarray:
     """Count of 'still the original state' projections per run.
 
-    Each run draws trials_per_run Bernoulli samples at the true survival
-    probability from its own counter-based stream keyed on (seed, run), so
-    results are bit-identical regardless of evaluation order.
+    The count of N Bernoulli trials at the true survival probability p is
+    Binomial(N, p), so each run makes one binomial draw from its own
+    counter-based stream keyed on (seed, run): the work is O(runs) for any
+    N, and results are bit-identical regardless of evaluation order.
     """
     p = survival_probability(config.psi, config.generator, config.theta_true)
     counts = np.empty(config.runs, dtype=np.int64)
     for run in range(config.runs):
-        rng = _run_rng(config.seed, run)
-        counts[run] = int(np.count_nonzero(rng.random(config.trials_per_run) < p))
+        counts[run] = _run_rng(config.seed, run).binomial(config.trials_per_run, p)
     return counts
 
 
 def _invert_monotone(
     model: _SurvivalModel, targets: np.ndarray, bracket: tuple[float, float]
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bisect all targets at once, each to its own width _BISECT_TOL; targets
-    outside the range of P on the bracket clip to the matching endpoint."""
+    outside the range of P on the bracket clip to the matching endpoint.
+
+    Returns the angles and the mask of clipped targets.  The bisection
+    steps every target in lockstep and evaluates P alone, not dP/dtheta.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
@@ -118,18 +140,20 @@ def _invert_monotone(
     p_min, p_max = (probs[0], probs[-1]) if increasing else (probs[-1], probs[0])
     lows = np.full(targets.shape, lo)
     highs = np.full(targets.shape, hi)
-    live = np.flatnonzero((targets > p_min) & (targets < p_max))
-    live = live[highs[live] - lows[live] > _BISECT_TOL]
-    while live.size:
-        mid = 0.5 * (lows[live] + highs[live])
-        up = (model.evaluate(mid)[0] < targets[live]) == increasing
-        lows[live[up]] = mid[up]
-        highs[live[~up]] = mid[~up]
-        live = live[highs[live] - lows[live] > _BISECT_TOL]
+    live = (targets > p_min) & (targets < p_max) & (highs - lows > _BISECT_TOL)
+    while live.any():
+        mid = 0.5 * (lows + highs)
+        # P as evaluate() computes it, without the unused dP/dtheta sum
+        p_mid = np.clip(np.abs(model.amplitude(mid)[1]) ** 2, 0.0, 1.0)
+        up = (p_mid < targets) == increasing
+        lows = np.where(live & up, mid, lows)
+        highs = np.where(live & ~up, mid, highs)
+        live &= highs - lows > _BISECT_TOL
     theta = 0.5 * (lows + highs)
-    theta[targets >= p_max] = hi if increasing else lo
-    theta[targets <= p_min] = lo if increasing else hi
-    return theta
+    above, below = targets >= p_max, targets <= p_min
+    theta[above] = hi if increasing else lo
+    theta[below] = lo if increasing else hi
+    return theta, above | below
 
 
 def estimate_theta(
@@ -147,7 +171,8 @@ def estimate_theta(
     """
     if not 0 <= count <= trials:
         raise ValueError(f"count must lie in [0, {trials}], got {count}")
-    return float(_invert_monotone(_SurvivalModel(psi, g), np.array([count / trials]), bracket)[0])
+    theta, _ = _invert_monotone(_SurvivalModel(psi, g), np.array([count / trials]), bracket)
+    return float(theta[0])
 
 
 def crb_report(config: EstimationConfig) -> EstimationResult:
@@ -165,7 +190,7 @@ def crb_report(config: EstimationConfig) -> EstimationResult:
         )
     counts = simulate_trials(config)
     n = config.trials_per_run
-    theta_hats = _invert_monotone(model, counts / n, (0.0, theta_peak))
+    theta_hats, clipped = _invert_monotone(model, counts / n, (0.0, theta_peak))
     empirical = float(np.std(theta_hats, ddof=1))
     crb = 1.0 / math.sqrt(n * fisher)
     return EstimationResult(
@@ -173,4 +198,6 @@ def crb_report(config: EstimationConfig) -> EstimationResult:
         empirical_sigma=empirical,
         crb_sigma=crb,
         ratio=empirical / crb,
+        clipped_runs=int(np.count_nonzero(clipped)),
+        theta_peak=theta_peak,
     )

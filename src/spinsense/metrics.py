@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spin import SpinOperator, SpinState, apply, expectation_and_variance
+from .spin import SpinOperator, SpinState, _tridiagonal, apply, expectation_and_variance
 
 PROJECTOR_TOL = 1e-10
 _DERIV_SUM_TOL = 1e-10
@@ -84,9 +84,10 @@ class ProjectorBasis:
     def two_outcome(cls, psi: SpinState) -> "ProjectorBasis":
         """The pair {|psi><psi|, I - |psi><psi|}: the basis that best
         distinguishes psi from anything else."""
+        identity = _tridiagonal(1.0, 0.0, 0.0, psi.j.dim)  # capped, before any d x d allocation
         v = psi.amplitudes
         p1 = np.outer(v, v.conj())
-        p2 = np.eye(psi.j.dim, dtype=complex) - p1
+        p2 = identity - p1
         return cls([SpinOperator(psi.j, p1, "yes"), SpinOperator(psi.j, p2, "no")])
 
 

@@ -268,23 +268,37 @@ def _tridiagonal(diag, upper, lower, dim: int) -> np.ndarray:
     return mat
 
 
-def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
-    """Dense matrices for Jx, Jy, Jz, J+, J-, and J^2.
+def _standard_diagonals(j: SpinJ) -> dict[str, tuple]:
+    """Main, upper and lower diagonals of I, Jx, Jy, Jz, J+, J- and J^2.
 
     Jz is diagonal with entries m; J+ carries the ladder vector one step up
     the ladder; Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).  J^2 is J(J+1)
     times the identity in closed form.
     """
-    dim = j.dim
     c = _ladder(j.twice_j)
     half = c / 2.0
+    return {
+        "I": (1.0, 0.0, 0.0),
+        "Jx": (0.0, half, half),
+        "Jy": (0.0, -1j * half, 1j * half),
+        "Jz": (j.m_values(), 0.0, 0.0),
+        "J+": (0.0, c, 0.0),
+        "J-": (0.0, 0.0, c),
+        "J^2": (j.j * (j.j + 1.0), 0.0, 0.0),
+    }
+
+
+def _standard_operator(j: SpinJ, label: str) -> SpinOperator:
+    """The one dense standard operator with this label (see _standard_diagonals)."""
+    return SpinOperator(j, _tridiagonal(*_standard_diagonals(j)[label], j.dim), label)
+
+
+def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
+    """Dense matrices for Jx, Jy, Jz, J+, J-, and J^2 (see _standard_diagonals)."""
+    dim, diagonals = j.dim, _standard_diagonals(j)
+    labels = ("Jx", "Jy", "Jz", "J+", "J-", "J^2")
     return SpinOperatorSet(
-        jx=SpinOperator(j, _tridiagonal(0.0, half, half, dim), "Jx"),
-        jy=SpinOperator(j, _tridiagonal(0.0, -1j * half, 1j * half, dim), "Jy"),
-        jz=SpinOperator(j, _tridiagonal(j.m_values(), 0.0, 0.0, dim), "Jz"),
-        jplus=SpinOperator(j, _tridiagonal(0.0, c, 0.0, dim), "J+"),
-        jminus=SpinOperator(j, _tridiagonal(0.0, 0.0, c, dim), "J-"),
-        jsq=SpinOperator(j, _tridiagonal(j.j * (j.j + 1.0), 0.0, 0.0, dim), "J^2"),
+        *[SpinOperator(j, _tridiagonal(*diagonals[label], dim), label) for label in labels]
     )
 
 

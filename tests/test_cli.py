@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinsense.cli import main
+from spinsense import SpinJ, build_spin_operators
+from spinsense.cli import _named_operator, main
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -194,7 +195,8 @@ def test_estimate_deterministic_artifacts(capsys, tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert csv_a.read_text().startswith("run,theta_hat\n0,")
     summary = json.loads(out_a)
-    assert set(summary) == {"empirical_sigma", "crb_sigma", "ratio"}
+    assert set(summary) == {"empirical_sigma", "crb_sigma", "ratio", "clipped_runs", "theta_peak"}
+    assert isinstance(summary["clipped_runs"], int)
 
 
 def test_estimate_seed_from_environment(capsys, monkeypatch):
@@ -355,10 +357,39 @@ def test_oversized_twice_j_is_input_error(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert "2J <= 4096" in json.loads(lines[0])["error"]
+    # the identity is capped too, before its (2J+1)^2 allocation
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        _named_operator("I", SpinJ(10**6))
     # the O(d) moment route has no dense limit
     rc, out, _ = run_cli(["qfi", "--state", "noon", "--twice-j", "1000000", "--axis", "z"], capsys)
     assert rc == 0
     assert out == "1000000000000.0\n"
+
+
+def test_estimate_rejects_trials_beyond_int64(capsys):
+    rc, out, err = run_cli(
+        ["estimate", "--state", "noon", "--twice-j", "4", "--axis", "z", "--theta-true", "0.05",
+         "--trials", str(2**63), "--runs", "3", "--seed", "1"],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "trials_per_run" in json.loads(lines[0])["error"]
+
+
+def test_named_operators_match_the_operator_set():
+    j = SpinJ(5)
+    ops = build_spin_operators(j)
+    expected = {"Jx": ops.jx, "Jy": ops.jy, "Jz": ops.jz, "J+": ops.jplus, "J-": ops.jminus}
+    for name, op in expected.items():
+        got = _named_operator(name, j)
+        assert got.label == name
+        assert np.array_equal(got.matrix, op.matrix)
+    identity = _named_operator("I", j)
+    assert identity.label == "I"
+    assert np.array_equal(identity.matrix, np.eye(j.dim, dtype=complex))
 
 
 def _readme_commands():

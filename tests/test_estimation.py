@@ -17,7 +17,8 @@ from spinsense import (
     simulate_trials,
     survival_probability,
 )
-from spinsense.metrics import _SurvivalModel
+from spinsense.estimation import _BISECT_TOL, _invert_monotone
+from spinsense.metrics import _SurvivalModel, qfi
 from helpers import random_state
 
 J2 = SpinJ(4)
@@ -120,6 +121,10 @@ def test_estimate_theta_count_range():
 def test_config_validation():
     with pytest.raises(ValueError):
         _noon_config(trials_per_run=50)
+    # Generator.binomial takes N as a signed 64-bit integer
+    assert _noon_config(trials_per_run=2**63 - 1).trials_per_run == 2**63 - 1
+    with pytest.raises(ValueError, match="trials_per_run"):
+        _noon_config(trials_per_run=2**63)
     with pytest.raises(ValueError):
         _noon_config(runs=0)
     with pytest.raises(ValueError):
@@ -191,5 +196,98 @@ def test_result_exports():
     assert run == "0"
     assert float(value) == result.theta_hats[0]
     summary = result.summary_dict()
-    assert set(summary) == {"empirical_sigma", "crb_sigma", "ratio"}
+    assert set(summary) == {"empirical_sigma", "crb_sigma", "ratio", "clipped_runs", "theta_peak"}
     assert summary["ratio"] == result.empirical_sigma / result.crb_sigma
+    assert summary["clipped_runs"] == result.clipped_runs
+    assert summary["theta_peak"] == result.theta_peak
+
+
+def test_simulate_trials_is_one_binomial_draw_per_run_stream():
+    cfg = _noon_config(runs=16, trials_per_run=12_345, seed=2024)
+    p = survival_probability(cfg.psi, cfg.generator, cfg.theta_true)
+    expected = [
+        np.random.Generator(np.random.Philox(key=[cfg.seed, r])).binomial(cfg.trials_per_run, p)
+        for r in range(cfg.runs)
+    ]
+    assert simulate_trials(cfg).tolist() == expected
+
+
+def test_simulate_trials_distinct_streams_near_the_top_seed():
+    # keys near 2**64 must not round through float64 onto one shared key
+    draws = [simulate_trials(_noon_config(runs=4, trials_per_run=10**9, seed=s)).tolist()
+             for s in (2**64 - 1, 2**64 - 3, 0)]
+    assert draws[0] != draws[1] and draws[0] != draws[2] and draws[1] != draws[2]
+
+
+def test_simulate_trials_binomial_moments():
+    # cos^2(2 theta) = 0.7 for the J = 2 extremal state under Jz
+    theta = math.acos(math.sqrt(0.7)) / 2.0
+    cfg = _noon_config(theta_true=theta, trials_per_run=1000, runs=4000, seed=5)
+    p = survival_probability(cfg.psi, cfg.generator, theta)
+    assert p == pytest.approx(0.7, abs=1e-12)
+    counts = simulate_trials(cfg)
+    n, runs = cfg.trials_per_run, cfg.runs
+    var = n * p * (1.0 - p)
+    assert abs(counts.mean() - n * p) <= 5.0 * math.sqrt(var / runs)
+    # the sample variance has relative spread about sqrt(2 / (runs - 1))
+    assert abs(counts.var(ddof=1) / var - 1.0) <= 5.0 * math.sqrt(2.0 / (runs - 1))
+
+
+def _scalar_inversion(model, target, lo, hi):
+    """One target at a time: the reference for the lockstep bisection."""
+    p_lo, p_hi = model.evaluate(lo)[0][0], model.evaluate(hi)[0][0]
+    increasing = p_hi > p_lo
+    if target >= max(p_lo, p_hi):
+        return (hi if increasing else lo), True
+    if target <= min(p_lo, p_hi):
+        return (lo if increasing else hi), True
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if (model.evaluate(mid)[0][0] < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), False
+
+
+def test_invert_monotone_equals_scalar_bisection():
+    rng = np.random.default_rng(2024)
+    j = SpinJ(7)
+    random_model = _SurvivalModel(
+        random_state(j, rng), axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+    )
+    for model, hi in ((_SurvivalModel(noon_state(J2), JZ), 0.39), (random_model, None)):
+        hi = model.first_slope_peak() if hi is None else hi
+        ends = model.evaluate(np.array([0.0, hi]))[0]
+        p_min, p_max = float(ends.min()), float(ends.max())
+        targets = np.concatenate(
+            [
+                rng.uniform(p_min, p_max, size=40),
+                [p_min, p_max, p_min - 1e-3, p_max + 1e-3, -0.5, 1.5],
+                [np.nextafter(p_min, 1.0), np.nextafter(p_max, 0.0)],
+            ]
+        )
+        theta, clipped = _invert_monotone(model, targets, (0.0, hi))
+        reference = [_scalar_inversion(model, t, 0.0, hi) for t in targets]
+        assert np.array_equal(theta, [r[0] for r in reference])
+        assert np.array_equal(clipped, [r[1] for r in reference])
+        assert np.count_nonzero(clipped) == 6
+
+
+def test_crb_report_counts_clipped_runs():
+    result = crb_report(_noon_config())
+    assert result.clipped_runs == 0
+    assert result.theta_peak == _SurvivalModel(noon_state(J2), JZ).first_slope_peak()
+    # at 100 trials and P(0.05) = 0.990, about a third of the runs see no decay
+    # (frequency 1 = P(0)) and clip to 0
+    small = crb_report(_noon_config(trials_per_run=100, runs=50))
+    assert small.clipped_runs == np.count_nonzero(small.theta_hats == 0.0)
+    assert 0 < small.clipped_runs < 50
+
+
+def test_crb_report_at_a_trillion_trials():
+    n = 10**12
+    result = crb_report(_noon_config(trials_per_run=n, runs=3))
+    assert result.crb_sigma == 1.0 / math.sqrt(n * qfi(noon_state(J2), JZ))
+    assert result.clipped_runs == 0
+    assert np.all(np.abs(result.theta_hats - 0.05) < 1e-5)

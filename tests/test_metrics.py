@@ -286,3 +286,9 @@ def test_qfi_equals_classical_fisher_of_optimal_binomial():
         dp = 2.0 * np.real(np.conj(s) * ds)
         f_classical = classical_fisher(Distribution(np.array([p, 1.0 - p])), [dp, -dp])
         assert f_classical == pytest.approx(qfi(psi, g), rel=1e-6)
+
+
+def test_two_outcome_basis_respects_the_dense_limit():
+    # the limit is checked before the (2J+1)^2 allocations, so this is fast
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        ProjectorBasis.two_outcome(noon_state(SpinJ(10**6)))

@@ -63,7 +63,7 @@ def test_batched_inversion_equals_per_count_estimates(twice_j, seed, counts):
     model = _SurvivalModel(psi, g)
     bracket = (0.0, model.first_slope_peak())
     counts = counts + [0, 1000]  # both clipped ends
-    batched = _invert_monotone(model, np.array(counts) / 1000, bracket)
+    batched, _ = _invert_monotone(model, np.array(counts) / 1000, bracket)
     single = [estimate_theta(c, 1000, psi, g, bracket) for c in counts]
     assert batched.tolist() == single
 
