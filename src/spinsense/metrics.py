@@ -9,7 +9,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spin import SpinOperator, SpinState, _tridiagonal, apply, expectation_and_variance
+from .spin import (
+    SpinOperator,
+    SpinState,
+    _axis_spectrum,
+    _tridiagonal,
+    apply,
+    expectation_and_variance,
+)
 
 PROJECTOR_TOL = 1e-10
 _DERIV_SUM_TOL = 1e-10
@@ -77,7 +84,7 @@ class ProjectorBasis:
         projs = []
         for s in states:
             v = s.amplitudes
-            projs.append(SpinOperator(s.j, np.outer(v, v.conj()), label="proj"))
+            projs.append(SpinOperator._owned(s.j, np.outer(v, v.conj()), label="proj"))
         return cls(projs)
 
     @classmethod
@@ -88,7 +95,7 @@ class ProjectorBasis:
         v = psi.amplitudes
         p1 = np.outer(v, v.conj())
         p2 = identity - p1
-        return cls([SpinOperator(psi.j, p1, "yes"), SpinOperator(psi.j, p2, "no")])
+        return cls([SpinOperator._owned(psi.j, p1, "yes"), SpinOperator._owned(psi.j, p2, "no")])
 
 
 @dataclass(frozen=True)
@@ -208,16 +215,22 @@ def qfi_finite_difference(psi: SpinState, g: SpinOperator, theta_step: float) ->
 
 class _SurvivalModel:
     """Survival amplitude <psi|exp(-i theta G)|psi> = sum_k w_k e^{-i theta lambda_k},
-    from one eigendecomposition G = sum_k lambda_k |v_k><v_k| and the weights
-    w_k = |<v_k|psi>|^2 (zero weights dropped)."""
+    from the spectral decomposition G = sum_k lambda_k |v_k><v_k| (eigenvalues
+    ascending) and the weights w_k = |<v_k|psi>|^2 (zero weights dropped).
+    An axis generator (SpinOperator.axis) takes its exact spectrum and weights
+    from the Wigner basis; any other G is diagonalized."""
 
     def __init__(self, psi: SpinState, g: SpinOperator):
         if g.j != psi.j:
             raise ValueError("generator does not match the state dimension")
         if not g.is_hermitian():
             raise ValueError(f"generator {g.label!r} is not Hermitian")
-        evals, evecs = np.linalg.eigh(g.matrix)
-        weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
+        axis = g.axis
+        if axis is not None:
+            evals, weights = _axis_spectrum(psi, axis)
+        else:
+            evals, evecs = np.linalg.eigh(g.matrix)
+            weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
         keep = weights > 0.0
         self.evals = evals[keep]
         self.weights = weights[keep]

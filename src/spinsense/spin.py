@@ -7,7 +7,9 @@ half-integer spins are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +25,15 @@ MAX_DENSE_TWICE_J = 4096
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_matrix(j: SpinJ, mat: np.ndarray, label: str) -> np.ndarray:
+    """mat itself, frozen, once its shape fits j and its entries are finite."""
+    if mat.shape != (j.dim, j.dim):
+        raise ValueError(f"matrix must be {j.dim}x{j.dim}, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"operator {label!r} matrix entries must be finite")
+    return _frozen(mat)
 
 
 def check_tolerance(tol: float) -> None:
@@ -144,21 +155,37 @@ def overlap(a: SpinState, b: SpinState) -> complex:
 
 @dataclass
 class SpinOperator:
-    """Labeled dense complex operator on a spin-J space."""
+    """Labeled dense complex operator on a spin-J space.
+
+    The constructor copies the matrix it is given; the copy is frozen.
+    """
 
     j: SpinJ
     matrix: np.ndarray
     label: str = ""
+    # (u, matrix) on the generator u . J that axis_generator builds; see `axis`
+    _axis_tag: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.j.dim, self.j.dim):
-            raise ValueError(
-                f"matrix must be {self.j.dim}x{self.j.dim}, got shape {mat.shape}"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"operator {self.label!r} matrix entries must be finite")
-        self.matrix = _frozen(mat)
+        self.matrix = _checked_matrix(self.j, np.array(self.matrix, dtype=complex), self.label)
+
+    @classmethod
+    def _owned(cls, j: SpinJ, mat: np.ndarray, label: str = "") -> "SpinOperator":
+        """Wrap a complex matrix the library has just allocated, without copying
+        it; the checks of the constructor still run and the matrix is frozen."""
+        op = cls.__new__(cls)
+        op.j, op.label, op._axis_tag = j, label, None
+        op.matrix = _checked_matrix(j, mat, label)
+        return op
+
+    @property
+    def axis(self) -> RotationAxis | None:
+        """The axis u if axis_generator built this operator as u . J, else None.
+
+        The tag lapses if `matrix` is reassigned.
+        """
+        tag = self._axis_tag
+        return tag[0] if tag is not None and tag[1] is self.matrix else None
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         m = self.matrix
@@ -166,8 +193,20 @@ class SpinOperator:
         return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.j.dim)))) <= tol
+        """max |U^dag U - I| <= tol, with U^dag U from real products of U = Ur + i Ui:
+        its real part is Ur^T Ur + Ui^T Ui and its imaginary part X - X^T, X = Ur^T Ui."""
+        re = np.ascontiguousarray(self.matrix.real)
+        im = np.ascontiguousarray(self.matrix.imag)
+        x = re.T @ im
+        skew = x - x.T
+        gram = re.T @ re
+        gram += im.T @ im
+        gram.flat[:: self.j.dim + 1] -= 1.0
+        # |z|^2 <= tol^2 for every entry z: squares, since np.hypot is an order slower
+        gram *= gram
+        skew *= skew
+        gram += skew
+        return float(np.max(gram)) <= tol * tol
 
     def dagger(self) -> "SpinOperator":
         return SpinOperator(self.j, self.matrix.conj().T, label=f"{self.label}^dag")
@@ -256,11 +295,12 @@ def _ladder(twice_j: int) -> np.ndarray:
     return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
 
 
-def _tridiagonal(diag, upper, lower, dim: int) -> np.ndarray:
-    """Dense complex dim x dim matrix with the given main, upper and lower diagonals."""
+def _tridiagonal(diag, upper, lower, dim: int, dtype=complex) -> np.ndarray:
+    """Dense dim x dim matrix (complex by default) with the given main, upper and
+    lower diagonals."""
     if dim - 1 > MAX_DENSE_TWICE_J:
         raise ValueError(f"2J = {dim - 1} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=dtype)
     flat = mat.reshape(-1)
     flat[:: dim + 1] = diag
     flat[1 :: dim + 1] = upper
@@ -290,7 +330,7 @@ def _standard_diagonals(j: SpinJ) -> dict[str, tuple]:
 
 def _standard_operator(j: SpinJ, label: str) -> SpinOperator:
     """The one dense standard operator with this label (see _standard_diagonals)."""
-    return SpinOperator(j, _tridiagonal(*_standard_diagonals(j)[label], j.dim), label)
+    return SpinOperator._owned(j, _tridiagonal(*_standard_diagonals(j)[label], j.dim), label)
 
 
 def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
@@ -298,19 +338,114 @@ def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
     dim, diagonals = j.dim, _standard_diagonals(j)
     labels = ("Jx", "Jy", "Jz", "J+", "J-", "J^2")
     return SpinOperatorSet(
-        *[SpinOperator(j, _tridiagonal(*diagonals[label], dim), label) for label in labels]
+        *[SpinOperator._owned(j, _tridiagonal(*diagonals[label], dim), label) for label in labels]
     )
 
 
 def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     """The Hermitian generator u . J of rotations about the axis u.
 
-    u . J = (ux - i uy)/2 J+ + (ux + i uy)/2 J- + uz Jz is tridiagonal.
+    u . J = (ux - i uy)/2 J+ + (ux + i uy)/2 J- + uz Jz is tridiagonal.  The
+    operator is tagged with u (SpinOperator.axis), so generator_unitary and
+    the survival kernel in metrics rotate it through the Wigner basis.
     """
     ux, uy, uz = u.u
     half = _ladder(j.twice_j) / 2.0
     mat = _tridiagonal(uz * j.m_values(), complex(ux, -uy) * half, complex(ux, uy) * half, j.dim)
-    return SpinOperator(j, mat, label=f"u.J[{ux:g},{uy:g},{uz:g}]")
+    op = SpinOperator._owned(j, mat, label=f"u.J[{ux:g},{uy:g},{uz:g}]")
+    op._axis_tag = (u, op.matrix)
+    return op
+
+
+@lru_cache(maxsize=4)
+def _wigner_basis(twice_j: int) -> np.ndarray:
+    """The real orthogonal basis D' = R D of the Wigner d-matrices of spin J.
+
+    D holds the eigenvectors of the real tridiagonal Jx, eigenvalues -J, ..., J
+    ascending, and R = diag((-1)^floor(k/2)).  Jy = P Jx P^dag with
+    P = diag(i^k), so d(beta) = exp(-i beta Jy) = P D exp(-i beta L) D^T P^dag
+    with L = diag(-J, ..., J); by parity its entries are real, and
+    d(beta) = D' cos(beta L) D'^T + T D' sin(beta L) D'^T with
+    T = diag(+1 on odd k, -1 on even k).  The column signs of D cancel.
+    See Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015).
+    """
+    half = _ladder(twice_j) / 2.0
+    _, basis = np.linalg.eigh(_tridiagonal(0.0, half, half, twice_j + 1, dtype=float))
+    basis[2::4] *= -1.0
+    basis[3::4] *= -1.0
+    return _frozen(basis)
+
+
+def _euler_angles(u: RotationAxis) -> tuple[float, float]:
+    """(alpha, beta) with u = (sin b cos a, sin b sin a, cos b), so that
+    u . J = exp(-i a Jz) d(b) Jz d(b)^T exp(i a Jz)."""
+    ux, uy, uz = u.u
+    return math.atan2(uy, ux), math.atan2(math.hypot(ux, uy), uz)
+
+
+def _wigner_small_d(j: SpinJ, beta: float) -> np.ndarray:
+    """The real matrix d(beta) = exp(-i beta Jy) in one real GEMM M D'^T, where
+    M_kn = D'_kn (cos beta l_n + T_k sin beta l_n) (see _wigner_basis)."""
+    basis = _wigner_basis(j.twice_j)
+    lam = j.m_values()[::-1]
+    c, s = np.cos(beta * lam), np.sin(beta * lam)
+    scaled = np.empty_like(basis)
+    np.multiply(basis[0::2], c - s, out=scaled[0::2])
+    np.multiply(basis[1::2], c + s, out=scaled[1::2])
+    return scaled @ basis.T
+
+
+def _is_polar(u: RotationAxis) -> bool:
+    """u = (0, 0, +-1) exactly, where u . J = uz Jz is diagonal."""
+    return u.u[0] == 0.0 and u.u[1] == 0.0
+
+
+def _axis_rotation(j: SpinJ, theta: float, u: RotationAxis) -> np.ndarray:
+    """exp(-i theta u . J) = D_a d (D_theta) d^T D_a^dag with D_x = diag(e^{-i x m}).
+
+    Off the poles the real and imaginary parts of d D_theta d^T are two real
+    GEMMs written into one complex array, then rows and columns take the
+    phases of D_a in place; at the poles the result is the exact diagonal.
+    """
+    m = j.m_values()
+    if _is_polar(u):
+        return _tridiagonal(np.exp(-1j * theta * (u.u[2] * m)), 0.0, 0.0, j.dim)
+    alpha, beta = _euler_angles(u)
+    d = _wigner_small_d(j, beta)
+    out = np.empty((j.dim, j.dim), dtype=complex)
+    scaled = d * np.cos(theta * m)
+    out.real = scaled @ d.T
+    np.multiply(d, -np.sin(theta * m), out=scaled)
+    out.imag = scaled @ d.T
+    phase = np.exp(-1j * alpha * m)
+    out *= phase[:, None]
+    out *= phase.conj()
+    return out
+
+
+def _axis_spectrum(psi: SpinState, u: RotationAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of u . J in ascending order (exactly -J, ..., J, or uz m at
+    the poles) and the weights |<v|psi>|^2 of psi on their eigenvectors v.
+
+    Off the poles the weights are |d^T exp(i a Jz) psi|^2, with
+    d^T y = D' (cos(beta L) D'^T y + sin(beta L) D'^T T y): two passes over D'.
+    """
+    j = psi.j
+    m = j.m_values()
+    if _is_polar(u):
+        evals = u.u[2] * m
+        order = np.argsort(evals)
+        return evals[order], (np.abs(psi.amplitudes) ** 2)[order]
+    alpha, beta = _euler_angles(u)
+    basis = _wigner_basis(j.twice_j)
+    lam = m[::-1]
+    y = np.exp(1j * alpha * m) * psi.amplitudes
+    ty = y.copy()
+    ty[0::2] *= -1.0
+    a = basis.T @ np.column_stack([y.real, y.imag, ty.real, ty.imag])
+    mixed = np.cos(beta * lam)[:, None] * a[:, :2] + np.sin(beta * lam)[:, None] * a[:, 2:]
+    dty = basis @ mixed
+    return lam, (dty[:, 0] ** 2 + dty[:, 1] ** 2)[::-1]
 
 
 def spin_moments(psi: SpinState) -> tuple[np.ndarray, np.ndarray]:
@@ -349,16 +484,22 @@ def spin_moments(psi: SpinState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:
-    """exp(-i * theta * G) for Hermitian G, via eigendecomposition.
+    """exp(-i * theta * G) for Hermitian G.
 
-    Exact for this operator family up to the eigensolver, so the result is
-    unitary to far better than the 1e-10 contract.
+    An axis generator (SpinOperator.axis) is rotated through the cached real
+    Wigner basis (_axis_rotation); any other G goes through its
+    eigendecomposition.  Either way the result is unitary to far better than
+    the 1e-10 contract.
     """
     if not g.is_hermitian():
         raise ValueError(f"generator {g.label!r} is not Hermitian")
-    w, v = np.linalg.eigh(g.matrix)
-    mat = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    return SpinOperator(g.j, mat, label=f"exp(-i*{theta:g}*{g.label or 'G'})")
+    axis = g.axis
+    if axis is not None:
+        mat = _axis_rotation(g.j, theta, axis)
+    else:
+        w, v = np.linalg.eigh(g.matrix)
+        mat = (v * np.exp(-1j * theta * w)) @ v.conj().T
+    return SpinOperator._owned(g.j, mat, label=f"exp(-i*{theta:g}*{g.label or 'G'})")
 
 
 def rotation_unitary(j: SpinJ, theta: float, u: RotationAxis) -> SpinOperator:

@@ -148,7 +148,7 @@ def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
             mat = s * 0.5 * (jx @ jz + jz @ jx) - 0.5j * (jy @ jz + jz @ jy)
         else:
             mat = (2.0 * (jz @ jz) - jx @ jx - jy @ jy) / math.sqrt(6.0)
-    return TensorOperator(k, q, SpinOperator(j, mat, label=f"T({k},{q:+d})"))
+    return TensorOperator(k, q, SpinOperator._owned(j, mat, label=f"T({k},{q:+d})"))
 
 
 def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:

@@ -1,0 +1,234 @@
+"""The axis route: rotations about u and survival weights from the cached real
+Wigner basis, checked against the eigendecomposition route they replace."""
+
+import copy
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_state
+from spinsense import (
+    EstimationConfig,
+    RotationAxis,
+    SpinJ,
+    SpinOperator,
+    axis_generator,
+    build_spin_operators,
+    crb_report,
+    generator_unitary,
+    qfi_finite_difference,
+    rotation_unitary,
+)
+from spinsense.metrics import _SurvivalModel
+from spinsense.spin import _axis_spectrum, _wigner_basis, _wigner_small_d
+
+
+def _untagged(g: SpinOperator) -> SpinOperator:
+    """The same matrix without the axis tag: it takes the eigendecomposition route."""
+    plain = SpinOperator(g.j, g.matrix, g.label)
+    assert plain.axis is None
+    return plain
+
+
+def _eigh_spectrum(psi, g):
+    evals, evecs = np.linalg.eigh(g.matrix)
+    return evals, np.abs(evecs.conj().T @ psi.amplitudes) ** 2
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 10, 101, 400])
+def test_spectrum_and_weights_match_eigh(twice_j):
+    rng = np.random.default_rng(500 + twice_j)
+    j = SpinJ(twice_j)
+    for _ in range(3):
+        psi = random_state(j, rng)
+        axis = RotationAxis.from_vector(rng.normal(size=3))
+        evals, weights = _axis_spectrum(psi, axis)
+        want_evals, want_weights = _eigh_spectrum(psi, axis_generator(j, axis))
+        assert np.array_equal(evals, j.m_values()[::-1])
+        assert np.max(np.abs(evals - want_evals)) <= 1e-13 * max(1.0, j.j)
+        assert np.max(np.abs(weights - want_weights)) <= 1e-13
+
+
+@pytest.mark.parametrize("u", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+@pytest.mark.parametrize("twice_j", [1, 4, 9])
+def test_poles_are_exact_diagonals(twice_j, u):
+    # beta = 0 and beta = pi, where alpha is undefined
+    rng = np.random.default_rng(twice_j)
+    j = SpinJ(twice_j)
+    psi = random_state(j, rng)
+    g = axis_generator(j, RotationAxis(np.array(u)))
+    evals, weights = _axis_spectrum(psi, g.axis)
+    assert np.array_equal(evals, np.sort(u[2] * j.m_values()))
+    assert np.array_equal(np.sort(weights), np.sort(np.abs(psi.amplitudes) ** 2))
+    rot = generator_unitary(g, 0.3).matrix
+    assert np.array_equal(rot, np.diag(np.exp(-0.3j * u[2] * j.m_values())))
+    # bit-identical to the eigendecomposition route on the same diagonal matrix
+    assert np.array_equal(rot, generator_unitary(_untagged(g), 0.3).matrix)
+    want_evals, want_weights = _eigh_spectrum(psi, g)
+    assert np.array_equal(evals, want_evals)
+    assert np.array_equal(weights, want_weights)
+
+
+def test_y_axis_rotation_is_the_wigner_d_matrix():
+    j = SpinJ(7)
+    for beta in (0.0, 0.4, -2.1, math.pi):
+        rot = rotation_unitary(j, beta, RotationAxis.y()).matrix
+        assert np.max(np.abs(rot - _wigner_small_d(j, beta))) <= 1e-14
+
+
+@pytest.mark.parametrize("twice_j", list(range(0, 13)))
+def test_small_d_matches_expm(twice_j):
+    from scipy.linalg import expm
+
+    j = SpinJ(twice_j)
+    jy = build_spin_operators(j).jy.matrix
+    for beta in (0.0, 0.7, -1.3, math.pi, 2.9):
+        d = _wigner_small_d(j, beta)
+        assert d.dtype == float
+        assert np.max(np.abs(d - expm(-1j * beta * jy))) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, -1.1, math.pi / 2, 3.0])
+def test_small_d_closed_forms(beta):
+    # rows m' and columns m in the order J, ..., -J
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    half = np.array([[c, -s], [s, c]])
+    assert np.max(np.abs(_wigner_small_d(SpinJ(1), beta) - half)) <= 1e-15
+    cb, sb = math.cos(beta), math.sin(beta) / math.sqrt(2.0)
+    one = np.array(
+        [
+            [(1 + cb) / 2, -sb, (1 - cb) / 2],
+            [sb, cb, -sb],
+            [(1 - cb) / 2, sb, (1 + cb) / 2],
+        ]
+    )
+    assert np.max(np.abs(_wigner_small_d(SpinJ(2), beta) - one)) <= 1e-15
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-4.0, 4.0))
+def test_axis_route_equals_eigh_route(twice_j, seed, theta):
+    rng = np.random.default_rng(seed)
+    j = SpinJ(twice_j)
+    psi = random_state(j, rng)
+    g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+    plain = _untagged(g)
+    tagged, reference = _SurvivalModel(psi, g), _SurvivalModel(psi, plain)
+    assert np.max(np.abs(tagged.evals - reference.evals)) <= 1e-13
+    assert np.max(np.abs(tagged.weights - reference.weights)) <= 1e-13
+    rot = generator_unitary(g, theta).matrix
+    assert np.max(np.abs(rot - generator_unitary(plain, theta).matrix)) <= 1e-13
+
+
+def test_crb_report_off_the_poles_matches_the_eigh_route():
+    j = SpinJ(6)
+    psi = random_state(j, np.random.default_rng(3))
+    g = axis_generator(j, RotationAxis.from_vector([0.3, -0.5, 0.8]))
+    peak = _SurvivalModel(psi, g).first_slope_peak()
+    results = [
+        crb_report(EstimationConfig(psi, gen, 0.5 * peak, trials_per_run=10**5, runs=200, seed=7))
+        for gen in (g, _untagged(g))
+    ]
+    assert np.max(np.abs(results[0].theta_hats - results[1].theta_hats)) <= 1e-12
+    assert results[0].clipped_runs == results[1].clipped_runs
+    assert qfi_finite_difference(psi, g, 1e-4) == pytest.approx(
+        qfi_finite_difference(psi, _untagged(g), 1e-4), rel=1e-10
+    )
+
+
+def test_axis_route_runs_no_complex_eigh(monkeypatch):
+    real_eigh = np.linalg.eigh
+    seen = []
+
+    def eigh(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        assert not np.iscomplexobj(a), "complex eigh on the axis route"
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    _wigner_basis.cache_clear()
+    j = SpinJ(9)
+    psi = random_state(j, np.random.default_rng(1))
+    g = axis_generator(j, RotationAxis.from_vector([0.2, 0.7, -0.4]))
+    generator_unitary(g, 0.3)
+    rotation_unitary(j, 0.3, RotationAxis.x())
+    qfi_finite_difference(psi, g, 1e-4)
+    _SurvivalModel(psi, axis_generator(j, RotationAxis.z())).first_slope_peak()
+    assert seen == [np.dtype(float)]  # the one real basis, built once and cached
+    with pytest.raises(AssertionError, match="complex eigh"):
+        generator_unitary(_untagged(g), 0.3)
+
+
+def test_wigner_basis_is_cached_capped_and_frozen():
+    assert _wigner_basis.cache_info().maxsize >= 4
+    basis = _wigner_basis(6)
+    assert _wigner_basis(6) is basis
+    assert not basis.flags.writeable
+    assert np.max(np.abs(basis.T @ basis - np.eye(7))) <= 1e-14
+    # the dense limit is checked before the (2J+1)^2 allocation, so this is fast
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        _wigner_basis(10**6)
+
+
+def test_axis_tag_is_not_data():
+    j = SpinJ(4)
+    axis = RotationAxis.from_vector([1.0, 1.0, 0.0])
+    g = axis_generator(j, axis)
+    assert g.axis is axis
+    plain = _untagged(g)
+    twin = copy.copy(g)
+    twin._axis_tag = None
+    assert twin.axis is None and g == twin
+    assert repr(g) == repr(plain)
+    assert g.to_json_dict() == plain.to_json_dict()
+    assert SpinOperator.from_json_dict(g.to_json_dict()).axis is None
+    assert dataclasses.replace(g).axis is None
+    with pytest.raises(TypeError):
+        SpinOperator(j, g.matrix, "G", _axis_tag=(axis, g.matrix))
+    # a reassigned matrix is no longer u.J, so the tag lapses
+    g.matrix = build_spin_operators(j).jz.matrix
+    assert g.axis is None
+
+
+def test_rotations_are_not_generators():
+    j = SpinJ(5)
+    assert rotation_unitary(j, 0.2, RotationAxis.x()).axis is None
+    assert build_spin_operators(j).jz.axis is None
+
+
+def test_is_unitary_sees_an_imaginary_defect():
+    j = SpinJ(6)
+    rot = rotation_unitary(j, 0.8, RotationAxis.from_vector([0.4, -0.3, 0.5]))
+    assert rot.is_unitary(1e-10)
+    col_j, col_k = 2, 5
+    bent = rot.matrix.copy()
+    bent[:, col_j] += 1e-9j * bent[:, col_k]
+    gram = bent.conj().T @ bent
+    assert abs(gram[col_k, col_j] - 1e-9j) <= 1e-15
+    op = SpinOperator(j, bent, "bent")
+    assert not op.is_unitary(1e-10)
+    assert op.is_unitary(1e-8)
+
+
+def test_user_matrices_are_copied_and_library_matrices_frozen():
+    j = SpinJ(3)
+    user = np.eye(j.dim, dtype=complex)
+    op = SpinOperator(j, user, "I")
+    assert user.flags.writeable
+    assert not np.shares_memory(user, op.matrix)
+    user[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0
+    library = [
+        *vars(build_spin_operators(j)).values(),
+        axis_generator(j, RotationAxis.from_vector([1.0, 2.0, 3.0])),
+        rotation_unitary(j, 0.4, RotationAxis.y()),
+        rotation_unitary(j, 0.4, RotationAxis.z()),
+    ]
+    for lib in library:
+        assert not lib.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            lib.matrix[0, 0] = 1.0

@@ -321,6 +321,37 @@ def test_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher-matrix", "--state", "noon", "--twice-j", "10"],
+        ["ae-code", "--twice-j", "12", "--m1", "3", "--m2", "6"],
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader of stdout has gone before the command writes, as in `... | true`
+    import spinsense
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinsense", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
 def test_code_check_with_error_file(capsys, monkeypatch, tmp_path):
     jz13 = np.diag(np.arange(6.0, -7.0, -1.0))
     doc = {
