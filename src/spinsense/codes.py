@@ -182,7 +182,7 @@ def error_of_state(psi: SpinState, u: SpinOperator) -> float:
 
 def error_small_theta(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """Small-angle error theta^2 (<G^2> - <G>^2) of exp(-i theta G)."""
-    if abs(theta) > 0.1:
+    if not abs(theta) <= 0.1:
         raise ValueError(f"|theta| must be <= 0.1 for the small-angle form, got {theta!r}")
     _, var = expectation_and_variance(psi, g)
     return theta * theta * var
@@ -224,7 +224,7 @@ def max_error_over_code(
     under Jz) a bare top eigenvector can have zero variance.  The returned
     error is theta^2 times the variance at the returned state.  Deterministic.
     """
-    if abs(theta) > 0.1:
+    if not abs(theta) <= 0.1:
         raise ValueError(f"|theta| must be <= 0.1 for the small-angle form, got {theta!r}")
     if not g.is_hermitian():
         raise ValueError(f"operator {g.label!r} is not Hermitian")

@@ -90,6 +90,8 @@ class EstimationResult:
 
 def survival_probability(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """P(theta) = |<psi|exp(-i theta G)|psi>|^2, clipped into [0, 1]."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     return float(_SurvivalModel(psi, g).evaluate(float(theta))[0][0])
 
 

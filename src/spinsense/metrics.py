@@ -13,7 +13,7 @@ from .spin import (
     SpinOperator,
     SpinState,
     _axis_spectrum,
-    _tridiagonal,
+    _banded,
     apply,
     expectation_and_variance,
 )
@@ -91,7 +91,7 @@ class ProjectorBasis:
     def two_outcome(cls, psi: SpinState) -> "ProjectorBasis":
         """The pair {|psi><psi|, I - |psi><psi|}: the basis that best
         distinguishes psi from anything else."""
-        identity = _tridiagonal(1.0, 0.0, 0.0, psi.j.dim)  # capped, before any d x d allocation
+        identity = _banded(psi.j.dim, {0: 1.0})  # capped, before any d x d allocation
         v = psi.amplitudes
         p1 = np.outer(v, v.conj())
         p2 = identity - p1
@@ -178,6 +178,8 @@ def classical_fisher(probs: Distribution, dprobs: Sequence[float]) -> float:
     dp = np.asarray(dprobs, dtype=float)
     if dp.shape != (len(probs),):
         raise ValueError(f"dprobs must have length {len(probs)}, got shape {dp.shape}")
+    if not np.all(np.isfinite(dp)):
+        raise ValueError(f"derivatives must be finite: {dp!r}")
     if abs(float(dp.sum())) > _DERIV_SUM_TOL:
         raise ValueError(f"derivative vector must sum to 0, got {float(dp.sum())!r}")
     p = probs.probs

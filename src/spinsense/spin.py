@@ -195,12 +195,13 @@ class SpinOperator:
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         """max |U^dag U - I| <= tol, with U^dag U from real products of U = Ur + i Ui:
         its real part is Ur^T Ur + Ui^T Ui and its imaginary part X - X^T, X = Ur^T Ui."""
-        re = np.ascontiguousarray(self.matrix.real)
-        im = np.ascontiguousarray(self.matrix.imag)
+        re = self.matrix.real.copy()
+        im = self.matrix.imag.copy()
         x = re.T @ im
-        skew = x - x.T
         gram = re.T @ re
-        gram += im.T @ im
+        # the copies of Ur and Ui take Ui^T Ui and X - X^T once they are no longer read
+        gram += np.matmul(im.T, im, out=re)
+        skew = np.subtract(x, x.T, out=im)
         gram.flat[:: self.j.dim + 1] -= 1.0
         # |z|^2 <= tol^2 for every entry z: squares, since np.hypot is an order slower
         gram *= gram
@@ -295,21 +296,24 @@ def _ladder(twice_j: int) -> np.ndarray:
     return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
 
 
-def _tridiagonal(diag, upper, lower, dim: int, dtype=complex) -> np.ndarray:
-    """Dense dim x dim matrix (complex by default) with the given main, upper and
-    lower diagonals."""
+def _banded(dim: int, bands: dict, dtype=complex) -> np.ndarray:
+    """Dense dim x dim matrix (complex by default) with bands[q] on the entries
+    (i, i + q); a band holds dim - |q| values, or one scalar for all of them."""
     if dim - 1 > MAX_DENSE_TWICE_J:
         raise ValueError(f"2J = {dim - 1} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
     mat = np.zeros((dim, dim), dtype=dtype)
     flat = mat.reshape(-1)
-    flat[:: dim + 1] = diag
-    flat[1 :: dim + 1] = upper
-    flat[dim :: dim + 1] = lower
+    for q, values in bands.items():
+        if q >= 0:
+            # stop at the band's last row: past it the stride runs on into the next rows
+            flat[q : max(dim - q, 0) * dim : dim + 1] = values
+        else:
+            flat[-q * dim :: dim + 1] = values
     return mat
 
 
-def _standard_diagonals(j: SpinJ) -> dict[str, tuple]:
-    """Main, upper and lower diagonals of I, Jx, Jy, Jz, J+, J- and J^2.
+def _standard_diagonals(j: SpinJ) -> dict[str, dict]:
+    """The diagonals of I, Jx, Jy, Jz, J+, J- and J^2, keyed by offset (see _banded).
 
     Jz is diagonal with entries m; J+ carries the ladder vector one step up
     the ladder; Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).  J^2 is J(J+1)
@@ -318,19 +322,19 @@ def _standard_diagonals(j: SpinJ) -> dict[str, tuple]:
     c = _ladder(j.twice_j)
     half = c / 2.0
     return {
-        "I": (1.0, 0.0, 0.0),
-        "Jx": (0.0, half, half),
-        "Jy": (0.0, -1j * half, 1j * half),
-        "Jz": (j.m_values(), 0.0, 0.0),
-        "J+": (0.0, c, 0.0),
-        "J-": (0.0, 0.0, c),
-        "J^2": (j.j * (j.j + 1.0), 0.0, 0.0),
+        "I": {0: 1.0},
+        "Jx": {1: half, -1: half},
+        "Jy": {1: -1j * half, -1: 1j * half},
+        "Jz": {0: j.m_values()},
+        "J+": {1: c},
+        "J-": {-1: c},
+        "J^2": {0: j.j * (j.j + 1.0)},
     }
 
 
 def _standard_operator(j: SpinJ, label: str) -> SpinOperator:
     """The one dense standard operator with this label (see _standard_diagonals)."""
-    return SpinOperator._owned(j, _tridiagonal(*_standard_diagonals(j)[label], j.dim), label)
+    return SpinOperator._owned(j, _banded(j.dim, _standard_diagonals(j)[label]), label)
 
 
 def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
@@ -338,7 +342,7 @@ def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
     dim, diagonals = j.dim, _standard_diagonals(j)
     labels = ("Jx", "Jy", "Jz", "J+", "J-", "J^2")
     return SpinOperatorSet(
-        *[SpinOperator._owned(j, _tridiagonal(*diagonals[label], dim), label) for label in labels]
+        *[SpinOperator._owned(j, _banded(dim, diagonals[label]), label) for label in labels]
     )
 
 
@@ -351,7 +355,8 @@ def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     """
     ux, uy, uz = u.u
     half = _ladder(j.twice_j) / 2.0
-    mat = _tridiagonal(uz * j.m_values(), complex(ux, -uy) * half, complex(ux, uy) * half, j.dim)
+    bands = {0: uz * j.m_values(), 1: complex(ux, -uy) * half, -1: complex(ux, uy) * half}
+    mat = _banded(j.dim, bands)
     op = SpinOperator._owned(j, mat, label=f"u.J[{ux:g},{uy:g},{uz:g}]")
     op._axis_tag = (u, op.matrix)
     return op
@@ -370,7 +375,7 @@ def _wigner_basis(twice_j: int) -> np.ndarray:
     See Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015).
     """
     half = _ladder(twice_j) / 2.0
-    _, basis = np.linalg.eigh(_tridiagonal(0.0, half, half, twice_j + 1, dtype=float))
+    _, basis = np.linalg.eigh(_banded(twice_j + 1, {1: half, -1: half}, dtype=float))
     basis[2::4] *= -1.0
     basis[3::4] *= -1.0
     return _frozen(basis)
@@ -409,7 +414,7 @@ def _axis_rotation(j: SpinJ, theta: float, u: RotationAxis) -> np.ndarray:
     """
     m = j.m_values()
     if _is_polar(u):
-        return _tridiagonal(np.exp(-1j * theta * (u.u[2] * m)), 0.0, 0.0, j.dim)
+        return _banded(j.dim, {0: np.exp(-1j * theta * (u.u[2] * m))})
     alpha, beta = _euler_angles(u)
     d = _wigner_small_d(j, beta)
     out = np.empty((j.dim, j.dim), dtype=complex)

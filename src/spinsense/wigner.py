@@ -6,6 +6,12 @@ factorials (Python big integers / fractions) and converted to floating
 point once at the end, which keeps them cancellation-free up to J ~ 50.
 All angular momenta and projections are passed as twice-values so
 half-integers stay exact.
+
+Each tensor component T_q^(k) is one diagonal at offset q, filled from the
+ladder vector of J+ in O(d); the reduced matrix elements <J||T^(k)||J> are
+closed forms.  The Wigner-Eckart route (3j symbols times the reduced
+element) and the dense route (the tensor matrix applied to the state) share
+no arithmetic, so each checks the other.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin import SpinJ, SpinOperator, SpinState, apply, build_spin_operators
+from .spin import SpinJ, SpinOperator, SpinState, _banded, _ladder, apply
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -120,69 +126,41 @@ class ReducedElement:
 
 
 def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
-    """Rank-1 or rank-2 spherical tensor component built from Jx, Jy, Jz.
+    """Rank-1 or rank-2 spherical tensor component T_q^(k) as a dense operator.
 
-    Rank 1 inverts Jx = (T_-1 - T_+1)/sqrt2, Jy = (T_-1 + T_+1)/(-i sqrt2),
-    Jz = T_0; rank 2 uses the quadratic combinations below.  Each component
-    is banded: it connects |J,m> only to |J,m+q>.
+    Each component connects |J,m> only to |J,m+q>, so it is one real diagonal
+    at offset q, computed in O(d) from m and the ladder vector c of J+:
+    T1_0 = Jz and T1_+-1 = -+J+-/sqrt2 (diagonal m and -+c/sqrt2);
+    T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
+    (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.
     """
     if k not in (1, 2):
         raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
     if abs(q) > k:
         raise ValueError(f"component q={q} out of range for rank {k}")
-    ops = build_spin_operators(j)
-    jx, jy, jz = ops.jx.matrix, ops.jy.matrix, ops.jz.matrix
-    if k == 1:
-        if q == 0:
-            mat = jz
-        elif q == 1:
-            mat = -(jx + 1j * jy) / _SQRT2
-        else:
-            mat = (jx - 1j * jy) / _SQRT2
+    m = j.m_values()
+    c = _ladder(j.twice_j)
+    sign = -1.0 if q > 0 else 1.0
+    if q == 0:
+        band = m if k == 1 else (3.0 * m * m - j.j * (j.j + 1.0)) / math.sqrt(6.0)
+    elif k == 1:
+        band = sign * c / _SQRT2
+    elif abs(q) == 1:
+        band = sign * 0.5 * c * (m[:-1] + m[1:])
     else:
-        if abs(q) == 2:
-            s = 1.0 if q > 0 else -1.0
-            mat = (jx @ jx - jy @ jy) / 2.0 + s * 0.5j * (jx @ jy + jy @ jx)
-        elif abs(q) == 1:
-            s = -1.0 if q > 0 else 1.0
-            mat = s * 0.5 * (jx @ jz + jz @ jx) - 0.5j * (jy @ jz + jz @ jy)
-        else:
-            mat = (2.0 * (jz @ jz) - jx @ jx - jy @ jy) / math.sqrt(6.0)
+        band = 0.5 * c[:-1] * c[1:]
+    mat = _banded(j.dim, {q: band})
     return TensorOperator(k, q, SpinOperator._owned(j, mat, label=f"T({k},{q:+d})"))
 
 
 def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:
-    """Extract the rank-k reduced matrix element from the dense tensors.
-
-    Uses the admissible (n, q, m) element with the largest 3j magnitude, so
-    the division is never by a near-zero symbol.  Requires 2J >= k.
-    """
+    """The rank-k reduced matrix element <J||T^(k)||J> in closed form
+    (see _closed_form_reduced).  Requires 2J >= k."""
     if k not in (1, 2):
         raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
     if j.twice_j < k:
         raise ValueError(f"no rank-{k} tensor on 2J={j.twice_j}: need 2J >= k")
-    tj = j.twice_j
-    best = None  # (|3j|, element, threej, twice_n)
-    for q in range(-k, k + 1):
-        mat = tensor_operator(j, k, q).op.matrix
-        for tm in range(-tj, tj + 1, 2):
-            tn = tm + 2 * q
-            if abs(tn) > tj:
-                continue
-            w = _three_j_twice(tj, 2 * k, tj, -tn, 2 * q, tm)
-            if w == 0.0:
-                continue
-            if best is None or abs(w) > best[0]:
-                el = mat[j.index_of(tn), j.index_of(tm)]
-                best = (abs(w), el, w, tn)
-    if best is None:
-        raise ValueError(f"no admissible matrix element for rank {k} on 2J={tj}")
-    _, el, w, tn = best
-    sign = -1.0 if ((tj - tn) // 2) % 2 else 1.0
-    value = el / (sign * w)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
-        raise ValueError(f"reduced element came out non-real: {value!r}")
-    return ReducedElement(j, k, float(value.real))
+    return ReducedElement(j, k, _closed_form_reduced(j.twice_j, k))
 
 
 def _closed_form_reduced(twice_j: int, k: int) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinsense import (
+    CodeSpace,
     Distribution,
     ProjectorBasis,
     SpinJ,
@@ -14,12 +15,15 @@ from spinsense import (
     classical_fisher,
     construct_anticoherent,
     distinguishability,
+    error_small_theta,
     generator_unitary,
+    max_error_over_code,
     measurement_distribution,
     noon_state,
     qfi,
     qfi_finite_difference,
     statistical_distance,
+    survival_probability,
 )
 from spinsense import SupportSpec, axis_generator, RotationAxis
 from helpers import random_hermitian, random_state, random_unitary
@@ -118,6 +122,26 @@ def test_distribution_validation():
 def test_distribution_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         Distribution(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call", ["error_small_theta", "max_error_over_code", "survival_probability", "classical_fisher"]
+)
+def test_non_finite_angles_and_derivatives_rejected(call, bad):
+    # a comparison such as abs(theta) > 0.1 is False for NaN, so each guard
+    # must reject non-finite input explicitly instead of returning nan
+    j = SpinJ(4)
+    psi, jz = noon_state(j), build_spin_operators(j).jz
+    code = CodeSpace(j, [basis_state(j, 4), basis_state(j, -4)])
+    calls = {
+        "error_small_theta": lambda: error_small_theta(psi, jz, bad),
+        "max_error_over_code": lambda: max_error_over_code(code, jz, bad),
+        "survival_probability": lambda: survival_probability(psi, jz, bad),
+        "classical_fisher": lambda: classical_fisher(Distribution([0.5, 0.5]), [bad, -bad]),
+    }
+    with pytest.raises(ValueError):
+        calls[call]()
 
 
 def test_distinguishability_global_phase_and_orthogonal():

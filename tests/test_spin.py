@@ -17,6 +17,7 @@ from spinsense import (
     noon_state,
     overlap,
     rotation_unitary,
+    tensor_operator,
 )
 from helpers import random_hermitian, random_state
 from spinsense.spin import MAX_DENSE_TWICE_J
@@ -134,6 +135,8 @@ def test_dense_operators_refuse_oversized_spin(monkeypatch):
         axis_generator(j, RotationAxis.z())
     with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
         rotation_unitary(j, 0.1, RotationAxis.x())
+    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
+        tensor_operator(j, 2, 1)
     # the boundary itself, on a lowered limit so that nothing large is built
     monkeypatch.setattr("spinsense.spin.MAX_DENSE_TWICE_J", 8)
     assert build_spin_operators(SpinJ(8)).jz.matrix.shape == (9, 9)

@@ -135,13 +135,23 @@ def test_rank2_q0_value_at_top_level():
     top = basis_state(j, 4)
     val = np.vdot(top.amplitudes, t0.matrix @ top.amplitudes)
     assert val.real == pytest.approx(2.4494897427831781, abs=1e-12)
-    ops = build_spin_operators(j)
-    explicit = (
-        2.0 * ops.jz.matrix @ ops.jz.matrix
-        - ops.jx.matrix @ ops.jx.matrix
-        - ops.jy.matrix @ ops.jy.matrix
-    ) / math.sqrt(6.0)
-    assert np.max(np.abs(t0.matrix - explicit)) < 1e-13
+    # every component against dense products of Jx, Jy, Jz
+    for twice_j in (*range(1, 13), 40, 100):
+        j = SpinJ(twice_j)
+        ops = build_spin_operators(j)
+        jx, jy, jz = ops.jx.matrix, ops.jy.matrix, ops.jz.matrix
+        explicit = {
+            (1, 0): jz,
+            (1, 1): -(jx + 1j * jy) / math.sqrt(2.0),
+            (1, -1): (jx - 1j * jy) / math.sqrt(2.0),
+            (2, 0): (2.0 * jz @ jz - jx @ jx - jy @ jy) / math.sqrt(6.0),
+        }
+        for s in (1, -1):
+            explicit[(2, 2 * s)] = (jx @ jx - jy @ jy) / 2.0 + s * 0.5j * (jx @ jy + jy @ jx)
+            explicit[(2, s)] = -s * 0.5 * (jx @ jz + jz @ jx) - 0.5j * (jy @ jz + jz @ jy)
+        for (k, q), mat in explicit.items():
+            gap = np.max(np.abs(tensor_operator(j, k, q).op.matrix - mat))
+            assert gap <= 1e-13 * max(1.0, j.j**2), (twice_j, k, q, gap)
 
 
 def test_unsupported_rank_rejected():
@@ -149,6 +159,9 @@ def test_unsupported_rank_rejected():
         tensor_operator(SpinJ(4), 3, 0)
     with pytest.raises(ValueError):
         tensor_operator(SpinJ(4), 2, 3)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="unsupported tensor rank"):
+            reduced_matrix_element(SpinJ(4), k)
 
 
 def test_reduced_element_rank1_closed_form():
@@ -159,7 +172,7 @@ def test_reduced_element_rank1_closed_form():
         assert reduced_matrix_element(SpinJ(twice_j), 1).value == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("twice_j", [2, 3, 4, 7, 12, 40])
+@pytest.mark.parametrize("twice_j", [2, 3, 4, 7, 12, 40, 100])
 def test_reduced_element_matches_closed_forms(twice_j):
     # Edmonds convention: <J||T1||J> = sqrt(J(J+1)(2J+1)),
     # <J||T2||J> = sqrt((2J-1) 2J (2J+1) (2J+2) (2J+3) / 6) / 2
@@ -172,7 +185,10 @@ def test_reduced_element_matches_closed_forms(twice_j):
 
 
 def test_reduced_element_consistent_across_elements():
-    for twice_j, k in ((2, 1), (4, 2), (12, 2), (5, 2)):
+    # the banded entries over their 3j symbols give the closed-form element
+    cases = [(2, 1), (4, 2), (12, 2), (5, 2)]
+    cases += [(twice_j, k) for twice_j in (40, 100, 101) for k in (1, 2)]
+    for twice_j, k in cases:
         j = SpinJ(twice_j)
         rme = reduced_matrix_element(j, k).value
         for q in range(-k, k + 1):
