@@ -20,6 +20,8 @@ UNITARY_TOL = 1e-10
 AXIS_TOL = 1e-12
 # Largest 2J for which a dense (2J+1)^2 complex matrix is built: 268 MB at 4096.
 MAX_DENSE_TWICE_J = 4096
+# Rows per strip of the Hermitian check: a strip of a d x d matrix is 1 MB at 2J = 1000.
+_STRIP = 64
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -34,6 +36,21 @@ def _checked_matrix(j: SpinJ, mat: np.ndarray, label: str) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"operator {label!r} matrix entries must be finite")
     return _frozen(mat)
+
+
+def _hermitian_defect(m: np.ndarray) -> tuple[float, float]:
+    """(max |M - M^dag|, max |M|) of a square matrix, read in strips of _STRIP rows.
+
+    Strip i compares its entries right of column i with the columns
+    M[i:, i:i+s] conjugated.  Since |(M - M^dag)_ik| = |(M - M^dag)_ki|
+    exactly, these upper parts give the maximum over the whole matrix.
+    """
+    defect = size = 0.0
+    for i in range(0, m.shape[0], _STRIP):
+        strip = m[i : i + _STRIP]
+        defect = max(defect, float(np.max(np.abs(strip[:, i:] - m[i:, i : i + _STRIP].conj().T))))
+        size = max(size, float(np.max(np.abs(strip))))
+    return defect, size
 
 
 def check_tolerance(tol: float) -> None:
@@ -188,9 +205,10 @@ class SpinOperator:
         return tag[0] if tag is not None and tag[1] is self.matrix else None
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        m = self.matrix
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
+        """max |M - M^dag| <= tol * max(1, max |M|), read in strips of _STRIP rows
+        (see _hermitian_defect), so no d x d temporary is allocated."""
+        defect, size = _hermitian_defect(self.matrix)
+        return defect <= tol * max(1.0, size)
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         """max |U^dag U - I| <= tol, with U^dag U from real products of U = Ur + i Ui:
@@ -389,15 +407,29 @@ def _euler_angles(u: RotationAxis) -> tuple[float, float]:
 
 
 def _wigner_small_d(j: SpinJ, beta: float) -> np.ndarray:
-    """The real matrix d(beta) = exp(-i beta Jy) in one real GEMM M D'^T, where
-    M_kn = D'_kn (cos beta l_n + T_k sin beta l_n) (see _wigner_basis)."""
+    """The real matrix d(beta) = exp(-i beta Jy) from one real GEMM of half height.
+
+    Its upper ceil(d/2) rows are M D'^T with M_kn = D'_kn (cos beta l_n +
+    T_k sin beta l_n) (see _wigner_basis); the lower rows follow from
+    d_{-m,-m'} = (-1)^(m-m') d_{m,m'}: the upper rows with both axes flipped
+    and a checkerboard sign.
+    """
     basis = _wigner_basis(j.twice_j)
+    dim = j.dim
+    top = (dim + 1) // 2
     lam = j.m_values()[::-1]
     c, s = np.cos(beta * lam), np.sin(beta * lam)
-    scaled = np.empty_like(basis)
-    np.multiply(basis[0::2], c - s, out=scaled[0::2])
-    np.multiply(basis[1::2], c + s, out=scaled[1::2])
-    return scaled @ basis.T
+    scaled = np.empty((top, dim))
+    np.multiply(basis[0:top:2], c - s, out=scaled[0::2])
+    np.multiply(basis[1:top:2], c + s, out=scaled[1::2])
+    out = np.empty((dim, dim))
+    np.matmul(scaled, basis.T, out=out[:top])
+    out[top:] = out[: dim - top, ::-1][::-1]
+    # entry (i, k) of the lower rows takes (-1)^(i - k); row `top` has parity p
+    p = top % 2
+    out[top + p :: 2, 1::2] *= -1.0
+    out[top + 1 - p :: 2, 0::2] *= -1.0
+    return out
 
 
 def _is_polar(u: RotationAxis) -> bool:
@@ -406,25 +438,28 @@ def _is_polar(u: RotationAxis) -> bool:
 
 
 def _axis_rotation(j: SpinJ, theta: float, u: RotationAxis) -> np.ndarray:
-    """exp(-i theta u . J) = D_a d (D_theta) d^T D_a^dag with D_x = diag(e^{-i x m}).
+    """exp(-i theta u . J) as one Wigner D-matrix D_a d(b) D_c, D_x = diag(e^{-i x m}).
 
-    Off the poles the real and imaginary parts of d D_theta d^T are two real
-    GEMMs written into one complex array, then rows and columns take the
-    phases of D_a in place; at the poles the result is the exact diagonal.
+    The ZYZ angles are read off the spin-1/2 image of the rotation,
+    A = cos(theta/2) - i uz sin(theta/2) = e^{-i(a+c)/2} cos(b/2) and
+    B = (uy - i ux) sin(theta/2) = e^{i(a-c)/2} sin(b/2), not off the 3x3
+    rotation, so the element of SU(2) is kept, and with it the sign at
+    half-integer J when |theta| > pi (Edmonds, Angular Momentum in Quantum
+    Mechanics, section 4.1).  Off the poles that is one real d(b)
+    (_wigner_small_d) whose columns and rows take the phases of D_c and D_a;
+    at the poles the result is the exact diagonal.
     """
     m = j.m_values()
     if _is_polar(u):
         return _banded(j.dim, {0: np.exp(-1j * theta * (u.u[2] * m))})
-    alpha, beta = _euler_angles(u)
-    d = _wigner_small_d(j, beta)
-    out = np.empty((j.dim, j.dim), dtype=complex)
-    scaled = d * np.cos(theta * m)
-    out.real = scaled @ d.T
-    np.multiply(d, -np.sin(theta * m), out=scaled)
-    out.imag = scaled @ d.T
-    phase = np.exp(-1j * alpha * m)
-    out *= phase[:, None]
-    out *= phase.conj()
+    ux, uy, uz = u.u
+    half_cos, half_sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    arg_a = math.atan2(-uz * half_sin, half_cos)
+    arg_b = math.atan2(-ux * half_sin, uy * half_sin)
+    a, c = arg_b - arg_a, -arg_a - arg_b
+    b = 2.0 * math.atan2(math.hypot(ux, uy) * abs(half_sin), math.hypot(half_cos, uz * half_sin))
+    out = np.multiply(_wigner_small_d(j, b), np.exp(-1j * c * m))
+    out *= np.exp(-1j * a * m)[:, None]
     return out
 
 
@@ -496,6 +531,8 @@ def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:
     eigendecomposition.  Either way the result is unitary to far better than
     the 1e-10 contract.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if not g.is_hermitian():
         raise ValueError(f"generator {g.label!r} is not Hermitian")
     axis = g.axis

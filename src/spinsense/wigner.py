@@ -132,12 +132,14 @@ def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
     at offset q, computed in O(d) from m and the ladder vector c of J+:
     T1_0 = Jz and T1_+-1 = -+J+-/sqrt2 (diagonal m and -+c/sqrt2);
     T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
-    (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.
+    (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.  Requires 2J >= k.
     """
     if k not in (1, 2):
         raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
     if abs(q) > k:
         raise ValueError(f"component q={q} out of range for rank {k}")
+    if j.twice_j < k:
+        raise ValueError(f"no rank-{k} tensor on 2J={j.twice_j}: need 2J >= k")
     m = j.m_values()
     c = _ladder(j.twice_j)
     sign = -1.0 if q > 0 else 1.0

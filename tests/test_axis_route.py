@@ -4,13 +4,15 @@ Wigner basis, checked against the eigendecomposition route they replace."""
 import copy
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state
+from helpers import random_hermitian, random_state
 from spinsense import (
     EstimationConfig,
     RotationAxis,
@@ -24,7 +26,7 @@ from spinsense import (
     rotation_unitary,
 )
 from spinsense.metrics import _SurvivalModel
-from spinsense.spin import _axis_spectrum, _wigner_basis, _wigner_small_d
+from spinsense.spin import _axis_spectrum, _hermitian_defect, _wigner_basis, _wigner_small_d
 
 
 def _untagged(g: SpinOperator) -> SpinOperator:
@@ -232,3 +234,92 @@ def test_user_matrices_are_copied_and_library_matrices_frozen():
         assert not lib.matrix.flags.writeable
         with pytest.raises(ValueError):
             lib.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 7])
+def test_off_pole_rotations_keep_the_su2_sign(twice_j):
+    # exp(-i 2 pi u.J) = (-1)^(2J): a rotation by 2 pi flips half-integer spins
+    rng = np.random.default_rng(80 + twice_j)
+    j = SpinJ(twice_j)
+    sign = -1.0 if twice_j % 2 else 1.0
+    for theta in (0.4, -2.5, 3.9):
+        axis = RotationAxis.from_vector(rng.normal(size=3))
+        rot = rotation_unitary(j, theta, axis).matrix
+        turned = rotation_unitary(j, theta + 2.0 * math.pi, axis).matrix
+        assert np.max(np.abs(turned - sign * rot)) <= 1e-13
+        assert np.max(np.abs(rotation_unitary(j, theta + 4.0 * math.pi, axis).matrix - rot)) <= 1e-13
+
+
+@pytest.mark.parametrize("twice_j", [101, 400])
+def test_axis_route_matches_eigh_route_at_large_spin(twice_j):
+    rng = np.random.default_rng(twice_j)
+    j = SpinJ(twice_j)
+    g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+    theta = 0.37
+    rot = generator_unitary(g, theta).matrix
+    assert np.max(np.abs(rot - generator_unitary(_untagged(g), theta).matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("twice_j", [100, 101, 400])
+def test_small_d_lower_rows_by_symmetry(twice_j):
+    # odd and even d: the lower rows come from the upper ones, not from the product
+    j = SpinJ(twice_j)
+    basis = _wigner_basis(twice_j)
+    lam = j.m_values()[::-1]
+    odd = np.arange(j.dim) % 2 == 1
+    for beta in (0.3, -1.7, math.pi):
+        d = _wigner_small_d(j, beta)
+        assert np.max(np.abs(d.T @ d - np.eye(j.dim))) <= 1e-12
+        c, s = np.cos(beta * lam), np.sin(beta * lam)
+        full = (basis * np.where(odd[:, None], c + s, c - s)) @ basis.T
+        assert np.max(np.abs(d - full)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [63, 64, 65, 129])
+def test_hermitian_check_reads_strips(dim):
+    rng = np.random.default_rng(dim)
+    j = SpinJ(dim - 1)
+    herm = random_hermitian(j, rng).matrix
+    for m in (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), herm):
+        defect, size = _hermitian_defect(m)
+        assert defect == np.max(np.abs(m - m.conj().T))
+        assert size == np.max(np.abs(m))
+    # a defect only in the lower triangle; at d = 129 no row strip reaches row 100, column 2
+    assert SpinOperator(j, herm, "H").is_hermitian()
+    bent = herm.copy()
+    bent[min(100, dim - 1), 2] += 1e-9
+    op = SpinOperator(j, bent, "bent")
+    assert _hermitian_defect(op.matrix)[0] == pytest.approx(1e-9, rel=1e-6)
+    assert not op.is_hermitian()
+    assert op.is_hermitian(1e-8)
+
+
+def test_hermitian_check_allocates_no_square_temporary():
+    j = SpinJ(512)
+    g = axis_generator(j, RotationAxis.from_vector([0.3, -0.5, 0.8]))
+    tracemalloc.start()
+    try:
+        assert g.is_hermitian()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < j.dim * j.dim * 8  # a d x d float array; the matrix itself is twice that
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected_before_any_matrix_work(theta, monkeypatch):
+    j = SpinJ(6)
+    g = axis_generator(j, RotationAxis.from_vector([0.2, 0.7, -0.4]))
+    polar = axis_generator(j, RotationAxis.z())
+
+    def no_matrix_work(m):
+        raise AssertionError("the Hermitian check ran")
+
+    monkeypatch.setattr("spinsense.spin._hermitian_defect", no_matrix_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gen in (g, polar, _untagged(g)):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                generator_unitary(gen, theta)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            rotation_unitary(j, theta, RotationAxis.x())

@@ -149,7 +149,15 @@ def test_rank2_q0_value_at_top_level():
         for s in (1, -1):
             explicit[(2, 2 * s)] = (jx @ jx - jy @ jy) / 2.0 + s * 0.5j * (jx @ jy + jy @ jx)
             explicit[(2, s)] = -s * 0.5 * (jx @ jz + jz @ jx) - 0.5j * (jy @ jz + jz @ jy)
+        psi = basis_state(j, twice_j)
         for (k, q), mat in explicit.items():
+            if k > twice_j:
+                # no rank-k tensor on 2J < k: both routes refuse, as we_expectation does
+                with pytest.raises(ValueError, match=f"no rank-{k} tensor on 2J={twice_j}"):
+                    tensor_operator(j, k, q)
+                with pytest.raises(ValueError, match=f"no rank-{k} tensor on 2J={twice_j}"):
+                    dense_expectation(psi, k, q)
+                continue
             gap = np.max(np.abs(tensor_operator(j, k, q).op.matrix - mat))
             assert gap <= 1e-13 * max(1.0, j.j**2), (twice_j, k, q, gap)
 
