@@ -1,9 +1,10 @@
 """Command-line front end: JSON in/out subcommands that compose over pipes.
 
 Exit codes: 0 success, 2 a requested check failed at its tolerance, 1 bad
-input (unknown subcommand, malformed JSON, schema or parameter violations).
-Errors go to stderr as a single machine-readable ``{"error": ...}`` line.
-All numeric output is serialized with 17 significant digits.
+input (unknown subcommand, malformed JSON, schema or parameter violations,
+a state too large to allocate).  Errors go to stderr as a single
+machine-readable ``{"error": ...}`` line.  All numeric output is serialized
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
-from . import codes, estimation, metrics, sensing, spin
+# Only spin loads with the CLI; each subcommand imports the library modules it
+# uses and calls through the module attribute (sensing.fisher_matrix), so a
+# call loads nothing it does not run.
+from . import spin
 
 _RZ_RE = re.compile(r"^R([xyz])\(([-+0-9.eE]+)\)$")
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -93,6 +98,8 @@ def _load_state(args) -> spin.SpinState:
             raise CliInputError(f"unknown named state {named!r}; only 'noon' is built in")
         if args.twice_j is None:
             raise CliInputError("--twice-j is required with --state noon")
+        from . import sensing
+
         return sensing.noon_state(spin.SpinJ(args.twice_j))
     return spin.SpinState.from_json_dict(_read_json_document(args.input))
 
@@ -141,7 +148,7 @@ def _parse_error_ops(args, j: spin.SpinJ) -> list[spin.SpinOperator]:
     return ops
 
 
-def _condition_dict(report: codes.ConditionReport) -> dict:
+def _condition_dict(report) -> dict:
     c = np.asarray(report.c_matrix)
     return {
         "passed": report.passed,
@@ -167,15 +174,21 @@ def cmd_state_check(args) -> int:
 def cmd_qfi(args) -> int:
     state = _load_state(args)
     if args.generator_file:
+        from . import metrics
+
         g = spin.SpinOperator.from_json_dict(_read_json_document(args.generator_file))
         value = metrics.qfi(state, g)
     else:
+        from . import sensing
+
         value = sensing.rotation_qfi(state, _parse_axis(args.axis))
     sys.stdout.write(_fmt_float(value) + "\n")
     return 0
 
 
 def cmd_fisher_matrix(args) -> int:
+    from . import sensing
+
     state = _load_state(args)
     fm = sensing.fisher_matrix(state)
     _emit({"matrix": fm.matrix.tolist(), "trace": fm.trace})
@@ -183,6 +196,8 @@ def cmd_fisher_matrix(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import sensing
+
     try:
         shells = tuple(int(s) for s in args.support.split(","))
     except ValueError:
@@ -194,12 +209,16 @@ def cmd_construct(args) -> int:
 
 
 def cmd_ae_code(args) -> int:
+    from . import codes
+
     code = codes.ae_codewords(spin.SpinJ(args.twice_j), args.m1, args.m2)
     _emit(code.to_json_dict())
     return 0
 
 
 def cmd_code_check(args) -> int:
+    from . import codes
+
     code = codes.CodeSpace.from_json_dict(_read_json_document(args.input))
     error_ops = codes.ErrorSet(_parse_error_ops(args, code.j))
     out = {}
@@ -217,6 +236,8 @@ def cmd_code_check(args) -> int:
 
 
 def cmd_error(args) -> int:
+    from . import codes
+
     state = _load_state(args)
     if args.operator_file:
         u = spin.SpinOperator.from_json_dict(_read_json_document(args.operator_file))
@@ -234,6 +255,8 @@ def cmd_error(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimation
+
     state = _load_state(args)
     g = spin.axis_generator(state.j, _parse_axis(args.axis))
     seed = args.seed
@@ -259,6 +282,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import metrics
+
     if args.p is not None or args.q is not None:
         if args.p is None or args.q is None:
             raise CliInputError("--p and --q must be given together")
@@ -299,35 +324,31 @@ def _add_state_inputs(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole CLI (``main`` reuses one per process)."""
     parser = _Parser(prog="spinsense", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     p = sub.add_parser("state-check", help="validate a SpinState JSON document")
     p.add_argument("--input", "-i", default=None)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
-    p.set_defaults(func=cmd_state_check)
 
     p = sub.add_parser("qfi", help="quantum Fisher information of a state")
     _add_state_inputs(p)
     p.add_argument("--axis", default="z", help="x, y, z, or 'ux,uy,uz'")
     p.add_argument("--generator-file", default=None, help="JSON operator file overriding --axis")
-    p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("fisher-matrix", help="3x3 angular-momentum covariance matrix")
     _add_state_inputs(p)
-    p.set_defaults(func=cmd_fisher_matrix)
 
     p = sub.add_parser("construct", help="build an axis-independent sensor state")
     p.add_argument("--twice-j", type=int, required=True)
     p.add_argument("--support", required=True, help="comma list of shell m-values, e.g. 0,3")
     p.add_argument("--include-zero", action="store_true", help="add the m=0 shell")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("ae-code", help="build the symmetric two-codeword space")
     p.add_argument("--twice-j", type=int, required=True)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
-    p.set_defaults(func=cmd_ae_code)
 
     p = sub.add_parser("code-check", help="detection / Knill-Laflamme checks on a CodeSpace")
     p.add_argument("--input", "-i", default=None, help="CodeSpace JSON file, or - for stdin (default)")
@@ -335,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-file", action="append", default=None, help="JSON operator file (repeatable)")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--check", choices=("detection", "kl", "both"), default="both")
-    p.set_defaults(func=cmd_code_check)
 
     p = sub.add_parser("error", help="error of state under a rotation or a unitary file")
     _add_state_inputs(p)
     p.add_argument("--axis", default="z")
     p.add_argument("--theta", type=_finite_float, default=None)
     p.add_argument("--operator-file", default=None, help="JSON unitary overriding --axis/--theta")
-    p.set_defaults(func=cmd_error)
 
     p = sub.add_parser("estimate", help="Monte Carlo Cramer-Rao check")
     _add_state_inputs(p)
@@ -352,30 +371,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--seed", type=int, default=None, help="default: $SPINSENSE_SEED, else 0")
     p.add_argument("--csv", default=None, help="write per-run estimates to this CSV path")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("distance", help="statistical distance or state distinguishability")
     p.add_argument("--p", default=None, help="comma list of probabilities")
     p.add_argument("--q", default=None, help="comma list of probabilities")
     p.add_argument("--state-a", default=None, help="SpinState JSON file")
     p.add_argument("--state-b", default=None, help="SpinState JSON file")
-    p.set_defaults(func=cmd_distance)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Safe to reuse: parse_args makes a new Namespace on every call, and no
+    # default is a mutable object (--error-file appends to a new list, its
+    # default being None).
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+        args = _parser().parse_args(argv)
+        if args.command is None:
             raise CliInputError("a subcommand is required (see --help)")
-        if getattr(args, "func", None) is cmd_error and args.operator_file is None and args.theta is None:
+        if args.command == "error" and args.operator_file is None and args.theta is None:
             raise CliInputError("error: give --theta (with --axis) or --operator-file")
-        return args.func(args)
+        # looked up at call time, not stored in the cached parser, so a
+        # cmd_* wrapped after the parser was built is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliInputError, ValueError, TypeError) as exc:
-        sys.stderr.write(_to_json({"error": str(exc)}) + "\n")
-        return 1
+        message = str(exc)
+    except MemoryError as exc:
+        # a dense state or operator for an oversized --twice-j; numpy names
+        # the size it could not allocate
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    sys.stderr.write(_to_json({"error": message}) + "\n")
+    return 1
 
 
 def entry_point() -> None:

@@ -95,13 +95,6 @@ def survival_probability(psi: SpinState, g: SpinOperator, theta: float) -> float
     return float(_SurvivalModel(psi, g).evaluate(float(theta))[0][0])
 
 
-def _run_rng(seed: int, run_index: int) -> np.random.Generator:
-    # counter-based streams keyed on (seed, run) make parallel order irrelevant;
-    # an explicit uint64 key, since a plain list of a seed near 2**64 passes
-    # through float64 and collapses to the key 0
-    return np.random.Generator(np.random.Philox(key=np.array([seed, run_index], dtype=np.uint64)))
-
-
 def simulate_trials(config: EstimationConfig) -> np.ndarray:
     """Count of 'still the original state' projections per run.
 
@@ -109,11 +102,32 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
     Binomial(N, p), so each run makes one binomial draw from its own
     counter-based stream keyed on (seed, run): the work is O(runs) for any
     N, and results are bit-identical regardless of evaluation order.
+
+    One Philox generator serves every run: before each draw its state is
+    reset to what ``Philox(key=[seed, run])`` starts from (counter 0, an
+    empty buffer), which is far cheaper than constructing a new generator.
+    The key is an explicit uint64 array, since a plain list holding a seed
+    near 2**64 passes through float64 and collapses to the key 0.
+    test_simulate_trials_matches_fresh_philox_streams fails if numpy
+    changes this state layout.
     """
     p = survival_probability(config.psi, config.generator, config.theta_true)
+    bits = np.random.Philox()
+    gen = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": None},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     counts = np.empty(config.runs, dtype=np.int64)
     for run in range(config.runs):
-        counts[run] = _run_rng(config.seed, run).binomial(config.trials_per_run, p)
+        state["state"]["key"] = np.array([config.seed, run], dtype=np.uint64)
+        bits.state = state
+        counts[run] = gen.binomial(config.trials_per_run, p)
     return counts
 
 

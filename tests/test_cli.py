@@ -321,6 +321,78 @@ def test_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+# the names `from spinsense import *` gave when the package imported every submodule
+PUBLIC_NAMES = {
+    "AnticoherenceReport", "CodeSpace", "ConditionReport", "DistinguishabilityReport",
+    "Distribution", "ErrorSet", "EstimationConfig", "EstimationResult", "FeasibilityError",
+    "FisherMatrix", "ProjectorBasis", "RecoverySet", "ReducedElement", "RotationAxis",
+    "SpacingError", "SpinJ", "SpinOperator", "SpinOperatorSet", "SpinState", "SupportSpec",
+    "TensorOperator", "ThreeJArgs", "ae_codewords", "anticoherence_report", "apply",
+    "axis_generator", "basis_state", "build_spin_operators", "classical_fisher", "codes",
+    "construct_anticoherent", "crb_report", "detection_check", "dfs_check", "distinguishability",
+    "error_of_state", "error_small_theta", "error_with_recovery", "estimate_theta", "estimation",
+    "expectation_and_variance", "fisher_matrix", "generator_unitary", "kl_check",
+    "max_error_over_code", "measurement_distribution", "metrics", "min_shell_gap", "noon_state",
+    "overlap", "qfi", "qfi_finite_difference", "reduced_matrix_element", "rotation_qfi",
+    "rotation_unitary", "sensing", "simulate_trials", "spin", "statistical_distance",
+    "survival_probability", "tensor_operator", "three_j", "we_expectation", "wigner",
+}
+
+
+def _loaded_modules(code):
+    """The spinsense submodules (and fractions) loaded after running `code` in
+    a fresh interpreter; the list is the last line of its stdout."""
+    import spinsense
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__)))
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('spinsense.') or m == 'fractions']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_import_spinsense_loads_no_submodule():
+    assert _loaded_modules("import spinsense") == set()
+
+
+def test_import_cli_loads_only_spin():
+    assert _loaded_modules("import spinsense.cli") == {"spinsense.cli", "spinsense.spin"}
+
+
+def test_qfi_process_loads_only_what_it_runs():
+    loaded = _loaded_modules(
+        "import runpy, sys\n"
+        "sys.argv = ['spinsense', 'qfi', '--state', 'noon', '--twice-j', '4']\n"
+        "try:\n"
+        "    runpy.run_module('spinsense', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    assert "spinsense.sensing" in loaded
+    assert not loaded & {"spinsense.wigner", "spinsense.codes", "spinsense.estimation"}
+
+
+def test_public_names_resolve_lazily():
+    import spinsense
+
+    namespace = {}
+    exec("from spinsense import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    assert set(spinsense.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(spinsense))
+    for name in PUBLIC_NAMES - {"spin", "wigner", "metrics", "codes", "sensing", "estimation"}:
+        owner = sys.modules[namespace[name].__module__]
+        assert getattr(owner, name) is getattr(spinsense, name)
+    assert spinsense.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spinsense.no_such_name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -451,3 +523,93 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
         outputs[command] = stdin_text
     assert outputs["spinsense qfi --state noon --twice-j 10 --axis z"] == "100.0\n"
     assert (tmp_path / "runs.csv").read_text().startswith("run,theta_hat\n0,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi"],
+        ["fisher-matrix"],
+        ["error", "--axis", "z", "--theta", "0.1"],
+        ["estimate", "--theta-true", "0.05", "--runs", "3"],
+    ],
+)
+def test_unallocatable_twice_j_is_input_error(argv, capsys):
+    # the O(d) paths have no dense cap; a 16 PB state request fails at once
+    rc, out, err = run_cli([*argv, "--state", "noon", "--twice-j", str(10**15)], capsys)
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]
+    assert message.startswith("out of memory")
+    assert "1000000000000001" in message
+
+
+def test_parser_is_cached_but_build_parser_is_fresh():
+    from spinsense.cli import _parser, build_parser
+
+    assert build_parser() is not build_parser()
+    assert _parser() is _parser()
+
+
+def test_error_files_do_not_leak_into_the_next_call(capsys, monkeypatch, tmp_path):
+    doc = {"twice_j": 12, "label": "Jz", "matrix_re": np.diag(np.arange(6.0, -7.0, -1.0)).tolist(),
+           "matrix_im": np.zeros((13, 13)).tolist()}
+    op_file = tmp_path / "jz.json"
+    op_file.write_text(json.dumps(doc))
+    _, code_json, _ = run_cli(["ae-code", "--twice-j", "12", "--m1", "3", "--m2", "6"], capsys)
+    rc, _, _ = run_cli(["code-check", "--error-file", str(op_file)], capsys, monkeypatch, code_json)
+    assert rc == 0
+    rc, out, err = run_cli(["code-check"], capsys, monkeypatch, code_json)
+    assert rc == 1
+    assert out == ""
+    assert "no error operators given" in json.loads(err)["error"]
+
+
+def test_bad_call_leaves_the_next_call_intact(capsys):
+    _, expected, _ = run_cli(["qfi", "--state", "noon", "--twice-j", "10", "--axis", "x"], capsys)
+    for bad in (["qfi", "--state", "noon", "--twice-j", "x"], ["qfi", "--bogus"], ["nope"], []):
+        rc, out, _ = run_cli(bad, capsys)
+        assert (rc, out) == (1, "")
+        rc, out, err = run_cli(["qfi", "--state", "noon", "--twice-j", "10", "--axis", "x"], capsys)
+        assert (rc, out, err) == (0, expected, "")
+
+
+def _run_readme_in_process(capsys, monkeypatch):
+    outputs = []
+    for command in _readme_commands():
+        stdin_text = None
+        for stage in command.split("|"):
+            if stdin_text is not None:
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            rc, stdin_text, _ = run_cli(shlex.split(stage)[1:], capsys)
+            assert rc == 0
+        outputs.append(stdin_text)
+    with open("runs.csv", encoding="utf-8") as fh:
+        outputs.append(fh.read())
+    return outputs
+
+
+def _run_readme_in_subprocesses(cwd):
+    import spinsense
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__))))
+    outputs = []
+    for command in _readme_commands():
+        stdin_text = ""
+        for stage in command.split("|"):
+            proc = subprocess.run([sys.executable, "-m", "spinsense", *shlex.split(stage)[1:]], cwd=cwd,
+                                  env=env, input=stdin_text, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            stdin_text = proc.stdout
+        outputs.append(stdin_text)
+    outputs.append((cwd / "runs.csv").read_text(encoding="utf-8"))
+    return outputs
+
+
+def test_readme_examples_repeat_in_process_as_in_fresh_processes(capsys, monkeypatch, tmp_path):
+    fresh = _run_readme_in_subprocesses(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert _run_readme_in_process(capsys, monkeypatch) == fresh
+    assert _run_readme_in_process(capsys, monkeypatch) == fresh

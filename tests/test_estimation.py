@@ -212,6 +212,28 @@ def test_simulate_trials_is_one_binomial_draw_per_run_stream():
     assert simulate_trials(cfg).tolist() == expected
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+def test_simulate_trials_matches_fresh_philox_streams(seed, monkeypatch):
+    # simulate_trials resets one Philox to each (seed, run) start state instead
+    # of building a generator per run; this fails if numpy's state layout moves
+    for p in (0.0, 1e-9, 0.3, 0.5, 0.99, 1.0):
+        monkeypatch.setattr("spinsense.estimation.survival_probability", lambda *_: p)
+        for n in (100, 10**5, 2**62):
+            expected = [
+                np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64))).binomial(n, p)
+                for r in range(64)
+            ]
+            got = simulate_trials(_noon_config(runs=64, trials_per_run=n, seed=seed))
+            assert got.tolist() == expected, (p, n)
+
+
+def test_simulate_trials_prefix_is_stable():
+    for runs in (1, 5, 64):
+        short = simulate_trials(_noon_config(runs=runs, seed=7))
+        long = simulate_trials(_noon_config(runs=runs + 7, seed=7))
+        assert np.array_equal(short, long[:runs])
+
+
 def test_simulate_trials_distinct_streams_near_the_top_seed():
     # keys near 2**64 must not round through float64 onto one shared key
     draws = [simulate_trials(_noon_config(runs=4, trials_per_run=10**9, seed=s)).tolist()
