@@ -100,7 +100,12 @@ def _load_state(args) -> spin.SpinState:
             raise CliInputError("--twice-j is required with --state noon")
         from . import sensing
 
-        return sensing.noon_state(spin.SpinJ(args.twice_j))
+        try:
+            return sensing.noon_state(spin.SpinJ(args.twice_j))
+        except MemoryError as exc:
+            # the O(d) paths have no dense cap; numpy names the size it could
+            # not allocate
+            raise CliInputError(f"out of memory: {exc}" if str(exc) else "out of memory") from None
     return spin.SpinState.from_json_dict(_read_json_document(args.input))
 
 
@@ -401,10 +406,6 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliInputError, ValueError, TypeError) as exc:
         message = str(exc)
-    except MemoryError as exc:
-        # a dense state or operator for an oversized --twice-j; numpy names
-        # the size it could not allocate
-        message = f"out of memory: {exc}" if str(exc) else "out of memory"
     sys.stderr.write(_to_json({"error": message}) + "\n")
     return 1
 

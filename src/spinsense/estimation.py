@@ -112,7 +112,7 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
     changes this state layout.
     """
     p = survival_probability(config.psi, config.generator, config.theta_true)
-    bits = np.random.Philox()
+    bits = np.random.Philox(0)  # its state is replaced before each draw
     gen = np.random.Generator(bits)
     zeros = np.zeros(4, dtype=np.uint64)
     state = {

@@ -321,6 +321,25 @@ def test_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_library_modules_leave_scipy_unloaded():
+    # the package is lazy, so `import spinsense` alone loads no submodule;
+    # resolving every public name loads all six, and none may import scipy
+    import spinsense
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\nfrom spinsense import *\nimport spinsense.cli\n"
+        "assert all(f'spinsense.{m}' in sys.modules for m in "
+        "('spin', 'wigner', 'metrics', 'codes', 'sensing', 'estimation'))\n"
+        "print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 # the names `from spinsense import *` gave when the package imported every submodule
 PUBLIC_NAMES = {
     "AnticoherenceReport", "CodeSpace", "ConditionReport", "DistinguishabilityReport",
