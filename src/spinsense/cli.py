@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -166,8 +167,7 @@ def _condition_dict(report) -> dict:
 
 
 def cmd_state_check(args) -> int:
-    if args.tol <= 0:
-        raise CliInputError("tolerance must be positive")
+    spin.check_tolerance(args.tol)
     doc = _read_json_document(args.input)
     state = spin.SpinState.from_json_dict(doc)
     norm_error = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
@@ -396,15 +396,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        if args.command is None:
-            raise CliInputError("a subcommand is required (see --help)")
-        if args.command == "error" and args.operator_file is None and args.theta is None:
-            raise CliInputError("error: give --theta (with --axis) or --operator-file")
-        # looked up at call time, not stored in the cached parser, so a
-        # cmd_* wrapped after the parser was built is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (CliInputError, ValueError, TypeError) as exc:
+        # a numpy overflow or invalid value is an input error like any other,
+        # not a warning line ahead of the one JSON error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            args = _parser().parse_args(argv)
+            if args.command is None:
+                raise CliInputError("a subcommand is required (see --help)")
+            if args.command == "error" and args.operator_file is None and args.theta is None:
+                raise CliInputError("error: give --theta (with --axis) or --operator-file")
+            # looked up at call time, not stored in the cached parser, so a
+            # cmd_* wrapped after the parser was built is the one that runs
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (CliInputError, ValueError, TypeError, RuntimeWarning) as exc:
         message = str(exc)
     sys.stderr.write(_to_json({"error": message}) + "\n")
     return 1

@@ -123,14 +123,15 @@ class ConditionReport:
     max_diagonal_spread: float
 
 
-def _delta_structure_violation(block: np.ndarray) -> tuple[complex, float, float]:
-    """Fit <i|E|j> = delta_ij * C and measure the residuals."""
-    diag = np.diag(block)
-    c = complex(diag.mean())
-    off = block - np.diag(diag)
-    max_off = float(np.max(np.abs(off))) if block.shape[0] > 1 else 0.0
-    max_spread = float(np.max(np.abs(diag - c)))
-    return c, max_off, max_spread
+def _delta_report(blocks: np.ndarray, tol: float) -> ConditionReport:
+    """Fit <i|X|j> = delta_ij * C to a stack of k x k blocks: one C per block
+    (its diagonal mean), residual maxima over the whole stack."""
+    diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+    c = diag.mean(axis=-1)
+    max_off = float(np.max(np.abs(blocks * (1.0 - np.eye(blocks.shape[-1])))))
+    max_spread = float(np.max(np.abs(diag - c[..., None])))
+    violation = max(max_off, max_spread)
+    return ConditionReport(c, violation, violation <= tol, max_off, max_spread)
 
 
 def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
@@ -139,16 +140,9 @@ def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionR
         raise ValueError("error set does not match the code space dimension")
     check_tolerance(tol)
     basis = code.basis_matrix()
-    c_vec = np.zeros(len(errors.ops), dtype=complex)
-    max_off = 0.0
-    max_spread = 0.0
-    for a, err in enumerate(errors.ops):
-        block = basis.conj().T @ err.matrix @ basis
-        c_vec[a], off, spread = _delta_structure_violation(block)
-        max_off = max(max_off, off)
-        max_spread = max(max_spread, spread)
-    violation = max(max_off, max_spread)
-    return ConditionReport(c_vec, violation, violation <= tol, max_off, max_spread)
+    bra = basis.conj().T
+    # blocks[a] = B^dag E_a B, shape (n, k, k)
+    return _delta_report(np.stack([bra @ err.matrix for err in errors.ops]) @ basis, tol)
 
 
 def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
@@ -157,19 +151,9 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
         raise ValueError("error set does not match the code space dimension")
     check_tolerance(tol)
     basis = code.basis_matrix()
-    images = [err.matrix @ basis for err in errors.ops]
-    n = len(errors.ops)
-    c_mat = np.zeros((n, n), dtype=complex)
-    max_off = 0.0
-    max_spread = 0.0
-    for a in range(n):
-        for b in range(n):
-            block = images[a].conj().T @ images[b]
-            c_mat[a, b], off, spread = _delta_structure_violation(block)
-            max_off = max(max_off, off)
-            max_spread = max(max_spread, spread)
-    violation = max(max_off, max_spread)
-    return ConditionReport(c_mat, violation, violation <= tol, max_off, max_spread)
+    images = np.stack([err.matrix @ basis for err in errors.ops])
+    # blocks[a, b] = (E_a B)^dag (E_b B), shape (n, n, k, k)
+    return _delta_report(images.conj().transpose(0, 2, 1)[:, None] @ images, tol)
 
 
 def error_of_state(psi: SpinState, u: SpinOperator) -> float:

@@ -149,6 +149,10 @@ class SpinState:
                 value = complex(entry["re"], entry["im"])
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad amplitude entry {entry!r}: {exc}") from None
+            # as for twice_j: a bool or a float is not a level, even where it
+            # would pass for one
+            if isinstance(twice_m, bool) or not isinstance(twice_m, (int, np.integer)):
+                raise ValueError(f"m_times_2 must be an integer, got {twice_m!r}")
             if twice_m in seen:
                 raise ValueError(f"duplicate amplitude entry for m_times_2={twice_m}")
             seen.add(twice_m)

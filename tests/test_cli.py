@@ -632,3 +632,77 @@ def test_readme_examples_repeat_in_process_as_in_fresh_processes(capsys, monkeyp
     monkeypatch.chdir(tmp_path)
     assert _run_readme_in_process(capsys, monkeypatch) == fresh
     assert _run_readme_in_process(capsys, monkeypatch) == fresh
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"twice_j": 2, "amplitudes": [{"m_times_2": 2.0, "re": 1, "im": 0}]},
+        {"twice_j": 1, "amplitudes": [{"m_times_2": True, "re": 1, "im": 0}]},
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["state-check"], ["qfi", "--input", "-"], ["code-check", "--errors", "I"]]
+)
+def test_non_integer_m_times_2_is_input_error(argv, doc, capsys, monkeypatch):
+    if argv[0] == "code-check":
+        doc = {"twice_j": doc["twice_j"], "codewords": [doc]}
+    rc, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "m_times_2 must be an integer" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+def test_state_check_tolerance_uses_the_shared_validator(tol, capsys, monkeypatch):
+    doc = {"twice_j": 2, "amplitudes": [{"m_times_2": 2, "re": 1.0, "im": 0.0}]}
+    rc, out, err = run_cli(
+        ["state-check", f"--tol={tol}"], capsys, monkeypatch, stdin_text=json.dumps(doc)
+    )
+    assert rc == 1
+    assert out == ""
+    assert "tolerance must be positive and finite" in json.loads(err)["error"]
+
+
+def _huge_diagonal_operator(tmp_path):
+    path = tmp_path / "huge.json"
+    doc = {"twice_j": 1, "matrix_re": [[1e200, 0.0], [0.0, 1e200]], "matrix_im": [[0.0] * 2] * 2}
+    path.write_text(json.dumps(doc))
+    return ["error", "--state", "noon", "--twice-j", "1", "--operator-file", str(path)], None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda tmp_path: (["qfi", "--state", "noon", "--twice-j", "4", "--axis=1e308,1e308,0"], None),
+        _huge_diagonal_operator,
+        lambda tmp_path: (
+            ["state-check"],
+            json.dumps({"twice_j": 0, "amplitudes": [{"m_times_2": 0, "re": 1e200, "im": 0}]}),
+        ),
+    ],
+    ids=["qfi-axis-overflow", "error-operator-overflow", "state-check-amplitude-overflow"],
+)
+def test_numpy_warning_is_one_json_error_line(case, tmp_path):
+    # a fresh process: pytest records warnings raised in its own process
+    import spinsense
+
+    argv, stdin_text = case(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinsense.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinsense", *argv],
+        env=env,
+        input=stdin_text if stdin_text is not None else "",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,3 +353,111 @@ def test_code_space_json_round_trip():
     assert back.j == code.j
     for a, b in zip(back.codewords, code.codewords):
         assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-15)
+
+
+def _per_block_fit(block):
+    diag = np.diag(block)
+    c = complex(diag.mean())
+    off = block - np.diag(diag)
+    max_off = float(np.max(np.abs(off))) if block.shape[0] > 1 else 0.0
+    return c, max_off, float(np.max(np.abs(diag - c)))
+
+
+def _reference_checks(code, errors):
+    """Both checks one block at a time, as fitted before the stacked reduction."""
+    basis = code.basis_matrix()
+    n = len(errors.ops)
+    det = [_per_block_fit(basis.conj().T @ e.matrix @ basis) for e in errors.ops]
+    images = [e.matrix @ basis for e in errors.ops]
+    kl = [_per_block_fit(images[a].conj().T @ images[b]) for a in range(n) for b in range(n)]
+    out = []
+    for fits, shape in ((det, (n,)), (kl, (n, n))):
+        c = np.array([f[0] for f in fits], dtype=complex).reshape(shape)
+        max_off = max(f[1] for f in fits)
+        max_spread = max(f[2] for f in fits)
+        out.append((c, max(max_off, max_spread), max_off, max_spread))
+    return out
+
+
+def _assert_reports_equal_reference(code, errors, tol=1e-9):
+    for rep, (c, violation, max_off, max_spread) in zip(
+        (detection_check(code, errors, tol), kl_check(code, errors, tol)),
+        _reference_checks(code, errors),
+    ):
+        assert rep.c_matrix.shape == c.shape
+        assert np.array_equal(rep.c_matrix, c)
+        assert rep.violation == violation
+        assert rep.max_off_diagonal == max_off
+        assert rep.max_diagonal_spread == max_spread
+        assert rep.passed is (violation <= tol)
+
+
+def test_stacked_checks_equal_per_block_fits_on_ae_codes():
+    for twice_j in range(12, 41, 2):
+        j = SpinJ(twice_j)
+        ops = build_spin_operators(j)
+        errors = ErrorSet([_identity(j), ops.jplus, ops.jminus, ops.jz])
+        for m1 in range(3, twice_j // 2 - 2):
+            for m2 in range(m1 + 3, twice_j // 2 + 1):
+                _assert_reports_equal_reference(ae_codewords(j, m1, m2), errors)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_checks_equal_per_block_fits_on_random_codes(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        dim = int(rng.integers(1, 41))
+        k = int(rng.integers(1, min(12, dim) + 1))
+        n = int(rng.integers(1, 7))
+        j = SpinJ(dim - 1)
+        code = CodeSpace(j, [SpinState(j, c) for c in random_unitary(dim, rng)[:, :k].T])
+        errors = ErrorSet(
+            [
+                SpinOperator(j, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                for _ in range(n)
+            ]
+        )
+        _assert_reports_equal_reference(code, errors)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_codeword_has_no_off_diagonal(n):
+    j = SpinJ(6)
+    ops = build_spin_operators(j)
+    code = CodeSpace(j, [basis_state(j, 2)])
+    errors = ErrorSet([ops.jplus, ops.jz, ops.jx][:n])
+    det = detection_check(code, errors, 1e-9)
+    kl = kl_check(code, errors, 1e-9)
+    assert det.c_matrix.shape == (n,)
+    assert kl.c_matrix.shape == (n, n)
+    assert det.max_off_diagonal == 0.0
+    assert kl.max_off_diagonal == 0.0
+    # a single codeword always meets both conditions
+    assert det.passed and kl.passed
+
+
+def test_single_error_gives_one_entry_per_check():
+    ops = build_spin_operators(J6)
+    errors = ErrorSet([ops.jz])
+    det = detection_check(_ae_code(), errors, 1e-9)
+    kl = kl_check(_ae_code(), errors, 1e-9)
+    assert det.c_matrix.shape == (1,)
+    assert kl.c_matrix.shape == (1, 1)
+    assert det.max_off_diagonal == 0.0
+    assert kl.max_off_diagonal == 0.0
+    assert kl.c_matrix[0, 0].real == pytest.approx(9.0, abs=1e-12)
+
+
+def test_checks_stack_no_dense_error_matrices():
+    j = SpinJ(512)
+    ops = build_spin_operators(j)
+    errors = ErrorSet([_identity(j), ops.jplus, ops.jminus, ops.jz])
+    code = ae_codewords(j, 3, 6)
+    for check in (detection_check, kl_check):
+        tracemalloc.start()
+        try:
+            assert check(code, errors, 1e-9).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < j.dim * j.dim * 16  # one d x d complex matrix

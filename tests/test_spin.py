@@ -271,6 +271,14 @@ def test_state_json_rejects_duplicates_and_bad_levels():
         SpinState.from_json_dict({"twice_j": 2})
 
 
+@pytest.mark.parametrize("twice_j,twice_m", [(2, 2.0), (1, True), (2, "2"), (2, None)])
+def test_state_json_rejects_a_non_integer_level(twice_j, twice_m):
+    # 2.0 would index the amplitudes with a float; True would pass for 2m = 1
+    doc = {"twice_j": twice_j, "amplitudes": [{"m_times_2": twice_m, "re": 1.0, "im": 0.0}]}
+    with pytest.raises(ValueError, match="m_times_2 must be an integer"):
+        SpinState.from_json_dict(doc)
+
+
 def test_overlap_requires_matching_dimension():
     with pytest.raises(ValueError):
         overlap(basis_state(SpinJ(2), 0), basis_state(SpinJ(4), 0))
