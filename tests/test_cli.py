@@ -673,19 +673,31 @@ def _huge_diagonal_operator(tmp_path):
     return ["error", "--state", "noon", "--twice-j", "1", "--operator-file", str(path)], None
 
 
+def test_state_check_names_an_oversized_amplitude(capsys, monkeypatch):
+    doc = {"twice_j": 2, "amplitudes": [{"m_times_2": -2, "re": 0.0, "im": -1e200}]}
+    rc, out, err = run_cli(["state-check"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert (rc, out) == (1, "")
+    assert "m_times_2=-2" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize(
-    "case",
+    "case, qfi",
     [
-        lambda tmp_path: (["qfi", "--state", "noon", "--twice-j", "4", "--axis=1e308,1e308,0"], None),
-        _huge_diagonal_operator,
-        lambda tmp_path: (
-            ["state-check"],
-            json.dumps({"twice_j": 0, "amplitudes": [{"m_times_2": 0, "re": 1e200, "im": 0}]}),
+        # the axis is scaled before its norm is taken: it is (1, 1, 0)/sqrt(2),
+        # about which the NOON state of 2J = 4 has variance 1
+        (lambda tmp_path: (["qfi", "--state", "noon", "--twice-j", "4", "--axis=1e308,1e308,0"], None), 4.0),
+        (_huge_diagonal_operator, None),
+        (
+            lambda tmp_path: (
+                ["state-check"],
+                json.dumps({"twice_j": 0, "amplitudes": [{"m_times_2": 0, "re": 1e200, "im": 0}]}),
+            ),
+            None,
         ),
     ],
     ids=["qfi-axis-overflow", "error-operator-overflow", "state-check-amplitude-overflow"],
 )
-def test_numpy_warning_is_one_json_error_line(case, tmp_path):
+def test_numpy_warning_is_one_json_error_line(case, qfi, tmp_path):
     # a fresh process: pytest records warnings raised in its own process
     import spinsense
 
@@ -700,6 +712,10 @@ def test_numpy_warning_is_one_json_error_line(case, tmp_path):
         text=True,
         timeout=60,
     )
+    if qfi is not None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert float(proc.stdout) == pytest.approx(qfi, rel=1e-12)
+        return
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

@@ -109,6 +109,20 @@ def test_non_finite_axis_rejected(bad):
         RotationAxis.from_vector([bad, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1e-200, 5e-324])
+def test_axis_of_a_huge_or_tiny_vector(scale):
+    # the norm of the raw vector overflows or underflows; the direction is fine
+    axis = RotationAxis.from_vector([scale, scale, 0.0])
+    assert np.max(np.abs(axis.u - RotationAxis.from_vector([1.0, 1.0, 0.0]).u)) <= 2e-16
+
+
+def test_axis_scaling_keeps_the_bits_of_ordinary_vectors():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        vec = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100)
+        assert np.array_equal(RotationAxis.from_vector(vec).u, vec / np.linalg.norm(vec))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_non_finite_state_rejected(bad):
     with pytest.raises(ValueError):
@@ -215,6 +229,14 @@ def test_state_normalization_enforced():
         SpinState(SpinJ(2), np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         SpinState(SpinJ(2), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("big", [1e200, complex(0.0, 1e200), complex(1.7e308, 1.7e308), 1.0 + 1e-9])
+def test_state_names_an_amplitude_above_one(big):
+    # rejected on |amp|, before the squares of the norm could overflow
+    amps = np.array([0.0, big, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="m_times_2=0"):
+        SpinState(SpinJ(2), amps)
 
 
 def test_half_integer_j_uses_integer_twice_j():
