@@ -125,6 +125,16 @@ class ReducedElement:
     value: float
 
 
+def _check_rank(twice_j: int, k: int, q: int = 0) -> None:
+    """Reject a rank other than 1 or 2, a component |q| > k, or a spin with 2J < k."""
+    if k not in (1, 2):
+        raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
+    if abs(q) > k:
+        raise ValueError(f"component q={q} out of range for rank {k}")
+    if twice_j < k:
+        raise ValueError(f"no rank-{k} tensor on 2J={twice_j}: need 2J >= k")
+
+
 def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
     """Rank-1 or rank-2 spherical tensor component T_q^(k) as a dense operator.
 
@@ -134,12 +144,7 @@ def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
     T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
     (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.  Requires 2J >= k.
     """
-    if k not in (1, 2):
-        raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
-    if abs(q) > k:
-        raise ValueError(f"component q={q} out of range for rank {k}")
-    if j.twice_j < k:
-        raise ValueError(f"no rank-{k} tensor on 2J={j.twice_j}: need 2J >= k")
+    _check_rank(j.twice_j, k, q)
     m = j.m_values()
     c = _ladder(j.twice_j)
     sign = -1.0 if q > 0 else 1.0
@@ -158,10 +163,7 @@ def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
 def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:
     """The rank-k reduced matrix element <J||T^(k)||J> in closed form
     (see _closed_form_reduced).  Requires 2J >= k."""
-    if k not in (1, 2):
-        raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
-    if j.twice_j < k:
-        raise ValueError(f"no rank-{k} tensor on 2J={j.twice_j}: need 2J >= k")
+    _check_rank(j.twice_j, k)
     return ReducedElement(j, k, _closed_form_reduced(j.twice_j, k))
 
 
@@ -181,14 +183,9 @@ def we_expectation(psi: SpinState, k: int, q: int) -> complex:
     Independent of the dense matrix route: only amplitudes, 3j symbols and
     the closed-form reduced matrix element enter.
     """
-    if k not in (1, 2):
-        raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
-    if abs(q) > k:
-        raise ValueError(f"component q={q} out of range for rank {k}")
     j = psi.j
     tj = j.twice_j
-    if tj < k:
-        raise ValueError(f"no rank-{k} tensor on 2J={tj}: need 2J >= k")
+    _check_rank(tj, k, q)
     rme = _closed_form_reduced(tj, k)
     amps = psi.amplitudes
     total = 0.0 + 0.0j

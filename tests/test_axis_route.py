@@ -18,6 +18,7 @@ from spinsense import (
     RotationAxis,
     SpinJ,
     SpinOperator,
+    apply,
     axis_generator,
     build_spin_operators,
     crb_report,
@@ -26,7 +27,13 @@ from spinsense import (
     rotation_unitary,
 )
 from spinsense.metrics import _SurvivalModel
-from spinsense.spin import _axis_spectrum, _hermitian_defect, _wigner_basis, _wigner_small_d
+from spinsense.spin import (
+    _axis_spectrum,
+    _hermitian_defect,
+    _wigner_basis,
+    _wigner_small_d,
+    spin_moments,
+)
 
 
 def _untagged(g: SpinOperator) -> SpinOperator:
@@ -260,9 +267,32 @@ def test_axis_route_matches_eigh_route_at_large_spin(twice_j):
     assert np.max(np.abs(rot - generator_unitary(_untagged(g), theta).matrix)) <= 1e-12
 
 
+@pytest.mark.parametrize("twice_j", [1000, 1001])
+def test_axis_route_at_large_spin_matches_the_moments(twice_j):
+    # spin_moments reads the amplitudes and the ladder in O(d) and never the
+    # Wigner basis; the spectrum takes d(-beta), the rotation d(beta)
+    rng = np.random.default_rng(900 + twice_j)
+    j = SpinJ(twice_j)
+    for _ in range(2):
+        psi = random_state(j, rng)
+        axis = RotationAxis.from_vector(rng.normal(size=3))
+        assert not (axis.u[0] == 0.0 and axis.u[1] == 0.0)
+        means, cov = spin_moments(psi)
+        evals, weights = _axis_spectrum(psi, axis)
+        assert abs(np.sum(weights) - 1.0) <= 1e-12
+        assert abs(evals @ weights - axis.u @ means) <= 1e-13 * j.j
+        second = axis.u @ (cov + np.outer(means, means)) @ axis.u
+        assert (evals * evals) @ weights == pytest.approx(second, rel=1e-12)
+        theta = rng.uniform(-3.0, 3.0)
+        amp = np.vdot(psi.amplitudes, apply(rotation_unitary(j, theta, axis), psi))
+        _, want = _SurvivalModel(psi, axis_generator(j, axis)).amplitude(theta)
+        assert abs(amp - want[0]) <= 1e-12
+
+
 @pytest.mark.parametrize("twice_j", [100, 101, 400])
-def test_small_d_lower_rows_by_symmetry(twice_j):
-    # odd and even d: the lower rows come from the upper ones, not from the product
+def test_small_d_matches_one_full_product(twice_j):
+    # odd and even d: the two passes with T on the output rows give every row
+    # of the product with T folded into the rows of D'
     j = SpinJ(twice_j)
     basis = _wigner_basis(twice_j)
     lam = j.m_values()[::-1]

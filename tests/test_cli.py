@@ -673,6 +673,45 @@ def _huge_diagonal_operator(tmp_path):
     return ["error", "--state", "noon", "--twice-j", "1", "--operator-file", str(path)], None
 
 
+def test_error_names_an_overflowing_operator_not_unitary(capsys, tmp_path):
+    # a |U_ij| of 1e200 decides the verdict before U^dag U could overflow
+    argv, _ = _huge_diagonal_operator(tmp_path)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "operator '' is not unitary"}
+
+
+def test_qfi_names_an_overflowing_generator(capsys, tmp_path):
+    # ||G psi||^2 overflows, and <G^2> - <G>^2 would be inf - inf
+    path = tmp_path / "huge.json"
+    doc = {
+        "twice_j": 1,
+        "label": "G",
+        "matrix_re": [[1e200, 0.0], [0.0, -1e200]],
+        "matrix_im": [[0.0] * 2] * 2,
+    }
+    path.write_text(json.dumps(doc))
+    argv = ["qfi", "--state", "noon", "--twice-j", "1", "--generator-file", str(path)]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "operator 'G' is too large: <G> or ||G psi||^2 is not finite"}
+
+
+def test_numpy_overflow_in_process_is_one_json_error_line(capsys, monkeypatch, tmp_path):
+    # the Knill-Laflamme products of a 1e200 error operator overflow inside numpy;
+    # the warning becomes the one JSON error line
+    huge = np.diag(np.full(13, 1e200))
+    path = tmp_path / "huge.json"
+    doc = {"twice_j": 12, "matrix_re": huge.tolist(), "matrix_im": np.zeros_like(huge).tolist()}
+    path.write_text(json.dumps(doc))
+    _, code_json, _ = run_cli(["ae-code", "--twice-j", "12", "--m1", "3", "--m2", "6"], capsys)
+    rc, out, err = run_cli(
+        ["code-check", "--errors", "I", "--error-file", str(path)], capsys, monkeypatch, stdin_text=code_json
+    )
+    assert (rc, out) == (1, "")
+    assert "overflow" in json.loads(err)["error"]
+
+
 def test_state_check_names_an_oversized_amplitude(capsys, monkeypatch):
     doc = {"twice_j": 2, "amplitudes": [{"m_times_2": -2, "re": 0.0, "im": -1e200}]}
     rc, out, err = run_cli(["state-check"], capsys, monkeypatch, stdin_text=json.dumps(doc))

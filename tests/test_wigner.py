@@ -172,6 +172,25 @@ def test_unsupported_rank_rejected():
             reduced_matrix_element(SpinJ(4), k)
 
 
+@pytest.mark.parametrize(
+    "twice_j, k, q, message",
+    [
+        (4, 3, 0, "unsupported tensor rank 3; only 1 and 2 are provided"),
+        (4, 2, 3, "component q=3 out of range for rank 2"),
+        (1, 2, 0, "no rank-2 tensor on 2J=1: need 2J >= k"),
+    ],
+)
+def test_rank_checks_give_one_message_everywhere(twice_j, k, q, message):
+    j = SpinJ(twice_j)
+    calls = [lambda: tensor_operator(j, k, q), lambda: we_expectation(basis_state(j, twice_j), k, q)]
+    if q == 0:
+        calls.append(lambda: reduced_matrix_element(j, k))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_reduced_element_rank1_closed_form():
     # sqrt(J(J+1)(2J+1)) for the rank-1 family
     for twice_j in (1, 2, 4, 7):
