@@ -145,7 +145,9 @@ def _parse_error_ops(args, j: spin.SpinJ) -> list[spin.SpinOperator]:
     if args.errors:
         ops.extend(_named_operator(name.strip(), j) for name in args.errors.split(","))
     for path in args.error_file or []:
-        op = spin.SpinOperator.from_json_dict(_read_json_document(path))
+        doc = _read_json_document(path)
+        # an operator from a file is named by its path in every message about it
+        op = spin.SpinOperator.from_json_dict({**doc, "label": path} if isinstance(doc, dict) else doc)
         if op.j != j:
             raise CliInputError(f"operator file {path!r} has twice_j {op.j.twice_j}, expected {j.twice_j}")
         ops.append(op)

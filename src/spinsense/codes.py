@@ -26,14 +26,15 @@ _DUAL_RTOL = 1e-14
 _CLUSTER_RTOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSpace:
-    """Orthonormal list of codewords sharing one spin-J space."""
+    """Orthonormal codewords sharing one spin-J space."""
 
     j: SpinJ
-    codewords: list[SpinState]
+    codewords: tuple[SpinState, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "codewords", tuple(self.codewords))
         if not self.codewords:
             raise ValueError("code space needs at least one codeword")
         for w in self.codewords:
@@ -63,38 +64,38 @@ class CodeSpace:
             words = [SpinState.from_json_dict(w) for w in doc["codewords"]]
         except KeyError as exc:
             raise ValueError(f"code space document missing field {exc}") from None
-        for w in words:
-            if w.j != j:
-                raise ValueError("codeword twice_j does not match the code space")
         return cls(j, words)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorSet:
     """Error operators; need not be unitary or Hermitian."""
 
-    ops: list[SpinOperator]
+    ops: tuple[SpinOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise ValueError("error set is empty")
-        j = self.ops[0].j
-        for op in self.ops:
-            if op.j != j:
-                raise ValueError("error operators act on different spin spaces")
-        self.j = j
+        if any(op.j != self.j for op in self.ops):
+            raise ValueError("error operators act on different spin spaces")
+
+    @property
+    def j(self) -> SpinJ:
+        return self.ops[0].j
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoverySet:
     """Recovery operators with sum R^dag R <= identity (completeness not required)."""
 
-    ops: list[SpinOperator]
+    ops: tuple[SpinOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise ValueError("recovery set is empty")
-        j = self.ops[0].j
+        j = self.j
         total = np.zeros((j.dim, j.dim), dtype=complex)
         for op in self.ops:
             if op.j != j:
@@ -103,7 +104,10 @@ class RecoverySet:
         slack = np.linalg.eigvalsh(np.eye(j.dim) - total)
         if float(slack.min()) < -1e-9:
             raise ValueError("recovery set exceeds identity: sum R^dag R > I")
-        self.j = j
+
+    @property
+    def j(self) -> SpinJ:
+        return self.ops[0].j
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,12 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
     if errors.j != code.j:
         raise ValueError("error set does not match the code space dimension")
     check_tolerance(tol)
+    # |(E_a B)^dag (E_b B)| <= d^2 max|E_a| max|E_b| entrywise (B has unit columns), and the
+    # sums formed from it stay within 2d times that: none overflows if max|E|^2 <= max / (2d^4)
+    limit = math.sqrt(np.finfo(float).max / 2.0) / code.j.dim**2
+    for err in errors.ops:
+        if float(np.max(np.abs(err.matrix))) > limit:
+            raise ValueError(f"operator {err.label!r} is too large: Knill-Laflamme products would overflow")
     basis = code.basis_matrix()
     images = np.stack([err.matrix @ basis for err in errors.ops])
     # blocks[a, b] = (E_a B)^dag (E_b B), shape (n, n, k, k)
@@ -304,18 +314,3 @@ def dfs_check(code: CodeSpace, g: SpinOperator, tol: float = 1e-10) -> bool:
         eigvals.append(mean)
     return (max(eigvals) - min(eigvals)) <= tol
 
-
-__all__ = [
-    "CodeSpace",
-    "ErrorSet",
-    "RecoverySet",
-    "ConditionReport",
-    "detection_check",
-    "kl_check",
-    "error_of_state",
-    "error_small_theta",
-    "error_with_recovery",
-    "max_error_over_code",
-    "ae_codewords",
-    "dfs_check",
-]

@@ -16,7 +16,7 @@ _BISECT_TOL = 1e-12
 _MAX_TRIALS = 2**63 - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationConfig:
     """One Monte Carlo experiment: `runs` repetitions of N survival trials.
 
@@ -51,12 +51,11 @@ class EstimationConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not (math.isfinite(self.theta_true) and self.theta_true > 0):
             raise ValueError(f"theta_true must be positive and finite, got {self.theta_true!r}")
-        self.trials_per_run = int(self.trials_per_run)
-        self.runs = int(self.runs)
-        self.seed = int(self.seed)
+        for name in ("trials_per_run", "runs", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationResult:
     """Per-run estimates plus the empirical/CRB standard deviations.
 

@@ -10,6 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .spin import (
+    SpinJ,
     SpinOperator,
     SpinState,
     _axis_spectrum,
@@ -23,7 +24,7 @@ _DERIV_SUM_TOL = 1e-10
 _SCAN_POINTS = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class Distribution:
     """Finite probability vector over measurement outcomes."""
 
@@ -42,26 +43,26 @@ class Distribution:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
-        self.probs = p
+        object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
         return self.probs.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectorBasis:
     """Complete set of mutually orthogonal Hermitian projectors."""
 
-    projectors: list[SpinOperator]
+    projectors: tuple[SpinOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "projectors", tuple(self.projectors))
         if not self.projectors:
             raise ValueError("projector set is empty")
-        j = self.projectors[0].j
-        dim = j.dim
+        dim = self.j.dim
         total = np.zeros((dim, dim), dtype=complex)
         for idx, p in enumerate(self.projectors):
-            if p.j != j:
+            if p.j != self.j:
                 raise ValueError("projectors act on different spin spaces")
             m = p.matrix
             if float(np.max(np.abs(m - m.conj().T))) > PROJECTOR_TOL:
@@ -76,7 +77,10 @@ class ProjectorBasis:
                     raise ValueError(f"projectors {a} and {b} are not orthogonal")
         if float(np.max(np.abs(total - np.eye(dim)))) > PROJECTOR_TOL:
             raise ValueError("incomplete projector set: projectors do not sum to identity")
-        self.j = j
+
+    @property
+    def j(self) -> SpinJ:
+        return self.projectors[0].j
 
     @classmethod
     def from_states(cls, states: Sequence[SpinState]) -> "ProjectorBasis":

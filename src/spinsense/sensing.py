@@ -154,17 +154,14 @@ def noon_state(j: SpinJ) -> SpinState:
     return SpinState(j, amps)
 
 
-def min_shell_gap(spec: SupportSpec) -> int:
+def min_shell_gap(spec: SupportSpec) -> int | float:
     """Minimum distance between distinct occupied signed m-levels.
 
-    The shell m occupies both +m and -m, so a lone shell m has gap 2m and
-    a shell pair (0, m) has gap m.
+    The shell m occupies both +m and -m, so a lone shell m has gap 2m and a
+    shell pair (0, m) gap m; the m=0 level alone has no pair, and gap math.inf.
     """
     signed = sorted({s for m in spec.support for s in (m, -m)} | ({0} if spec.include_zero else set()))
-    if len(signed) == 1:
-        # only the m=0 level is occupied: no pair of levels to connect
-        return spec.j.twice_j + 1
-    return min(b - a for a, b in zip(signed, signed[1:]))
+    return min((b - a for a, b in zip(signed, signed[1:])), default=math.inf)
 
 
 def _solve_shell_masses(values: Sequence[float], target: float) -> np.ndarray:
@@ -175,20 +172,13 @@ def _solve_shell_masses(values: Sequence[float], target: float) -> np.ndarray:
     unique p_k proportional to exp(-lam * values_k) matching the target.
     """
     vals = np.asarray(values, dtype=float)
-    k = vals.size
     lo, hi = float(vals.min()), float(vals.max())
-    if k == 1:
-        if abs(vals[0] - target) > MOMENT_TARGET_TOL * max(1.0, abs(target)):
-            raise FeasibilityError(
-                f"single shell fixes the second moment at {vals[0]:g}, not {target:g}"
-            )
-        return np.array([1.0])
-    # degenerate targets sit at a simplex vertex
+    # degenerate targets sit at a simplex vertex, a lone shell among them
     if abs(target - lo) <= MOMENT_TARGET_TOL * max(1.0, abs(target)):
         return (vals == lo).astype(float) / np.count_nonzero(vals == lo)
     if abs(target - hi) <= MOMENT_TARGET_TOL * max(1.0, abs(target)):
         return (vals == hi).astype(float) / np.count_nonzero(vals == hi)
-    if k == 2:
+    if vals.size == 2:
         p1 = (target - vals[0]) / (vals[1] - vals[0])
         return np.array([1.0 - p1, p1])
 

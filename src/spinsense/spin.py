@@ -100,7 +100,7 @@ class SpinJ:
         return (self.twice_j - twice_m) // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinState:
     """Normalized pure spin-J state with amplitudes ordered m = J down to -J."""
 
@@ -127,7 +127,7 @@ class SpinState:
         norm_sq = float(np.sum(mag**2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        self.amplitudes = _frozen(amps)
+        object.__setattr__(self, "amplitudes", _frozen(amps))
 
     def amplitude(self, twice_m: int) -> complex:
         return complex(self.amplitudes[self.j.index_of(twice_m)])
@@ -185,7 +185,7 @@ def overlap(a: SpinState, b: SpinState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinOperator:
     """Labeled dense complex operator on a spin-J space.
 
@@ -193,8 +193,7 @@ class SpinOperator:
     generators u . J of axis_generator and the rotations generator_unitary
     builds from them keep instead the data they are built from, their form
     (_BandForm, _RotationForm): `apply` and the checks read the form, and
-    `matrix` is built from it, frozen, when it is first read.  Reassigning
-    `matrix` drops the form.
+    `matrix` is built from it, frozen, when it is first read.
     """
 
     j: SpinJ
@@ -206,17 +205,12 @@ class SpinOperator:
     )
 
     def __post_init__(self):
-        self.matrix = _checked_matrix(self.j, np.array(self.matrix, dtype=complex), self.label)
-
-    def __setattr__(self, name, value):
-        if name == "matrix":
-            # a matrix set from outside need not be what the form describes
-            object.__setattr__(self, "_axis_tag", None)
-        object.__setattr__(self, name, value)
+        mat = np.array(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", _checked_matrix(self.j, mat, self.label))
 
     def __getattr__(self, name):
         # only reached while the attribute is unset: `matrix` of an operator
-        # with a form, before its first read
+        # with a form, before its first read; the one write after construction
         form = self.__dict__.get("_axis_tag")
         if name != "matrix" or form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -228,7 +222,6 @@ class SpinOperator:
         """Wrap a complex matrix the library has just allocated, without copying
         it; the checks of the constructor still run and the matrix is frozen."""
         op = cls.__new__(cls)
-        # straight into the instance dict: there is no form to drop
         op.__dict__.update(j=j, label=label, _axis_tag=None, matrix=_checked_matrix(j, mat, label))
         return op
 
@@ -241,10 +234,7 @@ class SpinOperator:
 
     @property
     def axis(self) -> RotationAxis | None:
-        """The axis u if axis_generator built this operator as u . J, else None.
-
-        The axis lapses with the form if `matrix` is reassigned.
-        """
+        """The axis u if axis_generator built this operator as u . J, else None."""
         form = self._axis_tag
         return form.axis if isinstance(form, _BandForm) else None
 
@@ -359,7 +349,7 @@ class RotationAxis:
         return cls(np.array([0.0, 0.0, 1.0]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinOperatorSet:
     """The standard operators on one spin-J space."""
 

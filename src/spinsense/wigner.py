@@ -62,11 +62,8 @@ def three_j(args: ThreeJArgs) -> float:
 
 @lru_cache(maxsize=65536)
 def _three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
+    # callers pass only |m| <= j with the parity of j (ThreeJArgs, we_expectation)
     if tm1 + tm2 + tm3 != 0:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj3 + tm3) % 2:
         return 0.0
     if tj3 > tj1 + tj2 or tj3 < abs(tj1 - tj2) or (tj1 + tj2 + tj3) % 2:
         return 0.0
@@ -107,7 +104,7 @@ def _three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -
     return phase * sign * math.sqrt(float(total * total * pref_sq))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorOperator:
     """Irreducible tensor component T_q^(k) as a dense operator."""
 
@@ -198,8 +195,6 @@ def we_expectation(psi: SpinState, k: int, q: int) -> complex:
         if a_m == 0 or a_n == 0:
             continue
         w = _three_j_twice(tj, 2 * k, tj, -tn, 2 * q, tm)
-        if w == 0.0:
-            continue
         sign = -1.0 if ((tj - 2 * q - tm) // 2) % 2 else 1.0
         total += np.conj(a_n) * a_m * sign * w
     return complex(total * rme)

@@ -31,6 +31,7 @@ from spinsense import (
     fisher_matrix,
     generator_unitary,
     kl_check,
+    max_error_over_code,
     measurement_distribution,
     min_shell_gap,
     noon_state,
@@ -248,4 +249,41 @@ def test_criterion_9_existence_sweep():
         "a gap >= 3 support works for every integer J in 3..10",
         ok,
         " ".join(details),
+    )
+
+
+def test_criterion_10_correction_and_sensing_are_one_property():
+    # Knill-Laflamme for {Jx, Jy, Jz} gives every unit vector of the code the
+    # same <J_a J_b> = C_ab, and the AE codewords have zero first moments, so
+    # three routes that share no code give one number per axis u: the
+    # worst-codeword variance of u.J (the convex dual), u^T Re(C) u (the stacked
+    # KL blocks) and u^T M u (the ladder moments of each codeword)
+    rng = np.random.default_rng(10)
+    theta = 0.1
+    worst = 0.0
+    codes = 0
+    passed = True
+    for twice_j in range(12, 41, 2):
+        j = SpinJ(twice_j)
+        ops = build_spin_operators(j)
+        errors = ErrorSet([ops.jx, ops.jy, ops.jz])
+        for m1 in range(3, twice_j // 2 - 2):
+            for m2 in range(m1 + 3, twice_j // 2 + 1):
+                code = ae_codewords(j, m1, m2)
+                kl = kl_check(code, errors, 1e-9)
+                passed = passed and kl.passed
+                moments = [fisher_matrix(w).matrix for w in code.codewords]
+                for _ in range(3):
+                    axis = RotationAxis.from_vector(rng.normal(size=3))
+                    u = axis.u
+                    dual = max_error_over_code(code, axis_generator(j, axis), theta)[1] / theta**2
+                    routes = [dual, float(u @ kl.c_matrix.real @ u)] + [float(u @ m @ u) for m in moments]
+                    worst = max(worst, (max(routes) - min(routes)) / max(routes))
+                codes += 1
+    _verdict(
+        10,
+        "worst-codeword variance = u^T Re(C_KL) u = u^T M u on every AE code with 2J = 12..40",
+        # (J - 5)(J - 4)/2 codes at each J = 6..20
+        passed and worst <= 1e-12 and codes == 680,
+        f"{codes} codes x 3 axes, largest relative disagreement {worst:.2e}",
     )

@@ -1,7 +1,6 @@
 """The axis route: rotations about u and survival weights from the cached real
 Wigner basis, checked against the eigendecomposition route they replace."""
 
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -189,8 +188,8 @@ def test_axis_tag_is_not_data():
     g = axis_generator(j, axis)
     assert g.axis is axis
     plain = _untagged(g)
-    twin = copy.copy(g)
-    twin._axis_tag = None
+    # a twin without the tag that shares the same matrix object
+    twin = SpinOperator._owned(j, g.matrix, g.label)
     assert twin.axis is None and g == twin
     assert repr(g) == repr(plain)
     assert g.to_json_dict() == plain.to_json_dict()
@@ -198,9 +197,12 @@ def test_axis_tag_is_not_data():
     assert dataclasses.replace(g).axis is None
     with pytest.raises(TypeError):
         SpinOperator(j, g.matrix, "G", _axis_tag=(axis, g.matrix))
-    # a reassigned matrix is no longer u.J, so the tag lapses
-    g.matrix = build_spin_operators(j).jz.matrix
-    assert g.axis is None
+    # neither the matrix nor the tag can be reassigned, so the tag always describes u.J
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.matrix = build_spin_operators(j).jz.matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g._axis_tag = None
+    assert g.axis is axis
 
 
 def test_rotations_are_not_generators():

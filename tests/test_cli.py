@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinsense import SpinJ, build_spin_operators
+from spinsense import SpinJ, ae_codewords, build_spin_operators
 from spinsense.cli import _named_operator, main
 
 
@@ -698,8 +698,8 @@ def test_qfi_names_an_overflowing_generator(capsys, tmp_path):
 
 
 def test_numpy_overflow_in_process_is_one_json_error_line(capsys, monkeypatch, tmp_path):
-    # the Knill-Laflamme products of a 1e200 error operator overflow inside numpy;
-    # the warning becomes the one JSON error line
+    # the Knill-Laflamme products of a 1e200 error operator would overflow inside
+    # numpy; the check bounds the entries first and names the file in its one line
     huge = np.diag(np.full(13, 1e200))
     path = tmp_path / "huge.json"
     doc = {"twice_j": 12, "matrix_re": huge.tolist(), "matrix_im": np.zeros_like(huge).tolist()}
@@ -710,6 +710,7 @@ def test_numpy_overflow_in_process_is_one_json_error_line(capsys, monkeypatch, t
     )
     assert (rc, out) == (1, "")
     assert "overflow" in json.loads(err)["error"]
+    assert repr(str(path)) in json.loads(err)["error"]
 
 
 def test_state_check_names_an_oversized_amplitude(capsys, monkeypatch):
@@ -761,3 +762,50 @@ def test_numpy_warning_is_one_json_error_line(case, qfi, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("name, component", [("Rx(0.1)", "jx"), ("Ry(0.1)", "jy"), ("Rz(0.1)", "jz")])
+def test_code_check_with_a_rotation_error(name, component, capsys, monkeypatch):
+    # Rx and Ry read the lazy dense d(beta) matrix of an off-pole rotation
+    linalg = pytest.importorskip("scipy.linalg")
+    j = SpinJ(12)
+    _, code_json, _ = run_cli(["ae-code", "--twice-j", "12", "--m1", "3", "--m2", "6"], capsys)
+    rc, out, err = run_cli(["code-check", "--errors", name], capsys, monkeypatch, stdin_text=code_json)
+    doc = json.loads(out)
+    # R^dag R = I passes Knill-Laflamme with C = 1
+    assert doc["kl"]["passed"] is True
+    assert doc["kl"]["c_re"][0][0] == pytest.approx(1.0, abs=1e-12)
+    # <w|R|w> differs between the codewords: detection fails at 1e-9, exit 2
+    rot = linalg.expm(-0.1j * getattr(build_spin_operators(j), component).matrix)
+    diag = np.array([np.vdot(w.amplitudes, rot @ w.amplitudes) for w in ae_codewords(j, 3, 6).codewords])
+    assert doc["detection"]["c_re"][0] == pytest.approx(diag.mean().real, abs=1e-12)
+    assert doc["detection"]["max_diagonal_spread"] == pytest.approx(abs(diag[0] - diag.mean()), abs=1e-12)
+    assert doc["detection"]["passed"] is False
+    assert (rc, err) == (2, "")
+
+
+def test_unknown_operator_name_lists_the_known_names(capsys, monkeypatch):
+    _, code_json, _ = run_cli(["ae-code", "--twice-j", "12", "--m1", "3", "--m2", "6"], capsys)
+    rc, out, err = run_cli(["code-check", "--errors", "I,Jw"], capsys, monkeypatch, stdin_text=code_json)
+    assert (rc, out) == (1, "")
+    message = json.loads(err)["error"]
+    assert message.startswith("unknown operator 'Jw'")
+    assert "I, Jx, Jy, Jz, J+, J-, Rx/Ry/Rz(theta)" in message
+
+
+def test_error_with_a_unitary_operator_file(capsys, tmp_path):
+    # Rz(0.1) on the NOON state of 2J = 4 keeps the overlap cos(0.2)
+    rot = np.diag(np.exp(-0.1j * np.arange(2.0, -3.0, -1.0)))
+    path = tmp_path / "rz.json"
+    doc = {"twice_j": 4, "label": "Rz", "matrix_re": rot.real.tolist(), "matrix_im": rot.imag.tolist()}
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(["error", "--state", "noon", "--twice-j", "4", "--operator-file", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"error_of_state": pytest.approx(math.sin(0.2) ** 2, rel=1e-12)}
+
+
+def test_construct_at_j_zero_prints_the_one_level(capsys):
+    # one occupied level has no pair to space, and |0,0> is anti-coherent
+    rc, out, err = run_cli(["construct", "--twice-j", "0", "--support", "0"], capsys)
+    assert (rc, err) == (0, "")
+    assert out == '{"twice_j":0,"amplitudes":[{"m_times_2":0,"re":1.0,"im":0.0}]}\n'

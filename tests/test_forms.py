@@ -2,6 +2,7 @@
 one Wigner D-matrix.  Every check reads the form, agrees with the dense check
 it stands for, and is still a check."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -122,7 +123,7 @@ def test_a_corrupted_band_fails_the_hermitian_check(twice_j):
     assert g.is_hermitian(1e-8)
 
 
-def test_a_reassigned_matrix_drops_the_form_and_is_checked_densely(monkeypatch):
+def test_a_matrix_cannot_be_reassigned_and_its_dense_copy_is_checked_densely(monkeypatch):
     j = SpinJ(8)
     psi = random_state(j, np.random.default_rng(8))
     axis = RotationAxis.from_vector([0.2, 0.7, -0.4])
@@ -136,21 +137,27 @@ def test_a_reassigned_matrix_drops_the_form_and_is_checked_densely(monkeypatch):
 
     monkeypatch.setattr("spinsense.spin._hermitian_defect", counted)
     assert g.is_hermitian() and dense_reads == []
-    # the same matrix set from outside: the dense check runs, and still passes
-    g.matrix = g.matrix
-    assert g._axis_tag is None and g.axis is None
-    assert g.is_hermitian() and dense_reads == [(j.dim, j.dim)]
+    for op in (g, u):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.matrix = op.matrix
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op._axis_tag = None
+    # the forms are kept, and the banded check still runs
+    assert g.axis is axis and g.is_hermitian() and dense_reads == []
+    # the same matrix given to the constructor: no form, the dense check runs, and still passes
+    plain = SpinOperator(j, g.matrix, g.label)
+    assert plain._axis_tag is None and plain.axis is None
+    assert plain.is_hermitian() and dense_reads == [(j.dim, j.dim)]
     bent = g.matrix.copy()
     bent[5, 2] += 1e-9
-    g.matrix = bent
-    assert not g.is_hermitian()
+    assert not SpinOperator(j, bent, g.label).is_hermitian()
 
-    u.matrix = u.matrix * (1.0 + 1e-9)
-    assert u._axis_tag is None
-    assert not u.is_unitary()
-    assert np.array_equal(apply(u, psi), u.matrix @ psi.amplitudes)
+    scaled = SpinOperator(j, u.matrix * (1.0 + 1e-9), u.label)
+    assert scaled._axis_tag is None
+    assert not scaled.is_unitary()
+    assert np.array_equal(apply(scaled, psi), scaled.matrix @ psi.amplitudes)
     with pytest.raises(ValueError, match="not unitary"):
-        error_of_state(psi, u)
+        error_of_state(psi, scaled)
 
 
 def test_sensor_kernels_allocate_no_square_array():

@@ -231,3 +231,25 @@ def test_alignment_angle_diagnostic():
     fm_iso = fisher_matrix(construct_anticoherent(SupportSpec(SpinJ(6), (0, 3))))
     u = RotationAxis.from_vector([1.0, 1.0, 1.0])
     assert fm_iso.alignment_angle(u) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_a_lone_shell_at_the_target_moment():
+    # 2J = 6: m^2 = 4 is J(J+1)/3, so the one shell takes all the mass
+    psi = construct_anticoherent(SupportSpec(SpinJ(6), (2,)))
+    expected = np.zeros(7, dtype=complex)
+    expected[[1, 5]] = 1.0 / math.sqrt(2.0)
+    np.testing.assert_allclose(psi.amplitudes, expected, rtol=0.0, atol=1e-15)
+    rep = anticoherence_report(psi, 1e-12)
+    assert rep.order1 and rep.order2
+    with pytest.raises(FeasibilityError):
+        construct_anticoherent(SupportSpec(SpinJ(6), (3,)))
+
+
+def test_j_zero_is_its_own_anticoherent_state():
+    spec = SupportSpec(SpinJ(0), (0,))
+    assert min_shell_gap(spec) == math.inf
+    psi = construct_anticoherent(spec)
+    assert psi.amplitudes.tolist() == [1.0 + 0.0j]
+    rep = anticoherence_report(psi, 1e-12)
+    assert rep.order1 and rep.order2
+    assert rep.max_first_moment == 0.0 and rep.max_matrix_deviation == 0.0

@@ -304,3 +304,13 @@ def test_state_json_rejects_a_non_integer_level(twice_j, twice_m):
 def test_overlap_requires_matching_dimension():
     with pytest.raises(ValueError):
         overlap(basis_state(SpinJ(2), 0), basis_state(SpinJ(4), 0))
+
+
+def test_overlap_is_the_inner_product():
+    j = SpinJ(5)
+    rng = np.random.default_rng(305)
+    a, b = random_state(j, rng), random_state(j, rng)
+    assert overlap(a, b) == complex(np.vdot(a.amplitudes, b.amplitudes))
+    assert overlap(b, a) == overlap(a, b).conjugate()
+    assert overlap(a, a) == pytest.approx(1.0, abs=1e-15)
+    assert overlap(basis_state(j, 5), basis_state(j, 3)) == 0.0
