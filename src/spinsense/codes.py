@@ -12,6 +12,7 @@ from .spin import (
     SpinJ,
     SpinOperator,
     SpinState,
+    _frozen,
     apply,
     check_tolerance,
     expectation_and_variance,
@@ -135,7 +136,7 @@ def _delta_report(blocks: np.ndarray, tol: float) -> ConditionReport:
     max_off = float(np.max(np.abs(blocks * (1.0 - np.eye(blocks.shape[-1])))))
     max_spread = float(np.max(np.abs(diag - c[..., None])))
     violation = max(max_off, max_spread)
-    return ConditionReport(c, violation, violation <= tol, max_off, max_spread)
+    return ConditionReport(_frozen(c), violation, violation <= tol, max_off, max_spread)
 
 
 def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:

@@ -9,9 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _SurvivalModel, qfi
-from .spin import SpinOperator, SpinState
+from .spin import SpinOperator, SpinState, _frozen
 
 _BISECT_TOL = 1e-12
+# angles of the table that brackets every target of _invert_monotone
+_GRID_POINTS = 257
 # Generator.binomial takes the trial count as a signed 64-bit integer
 _MAX_TRIALS = 2**63 - 1
 
@@ -101,6 +103,12 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
     Binomial(N, p), so each run makes one binomial draw from its own
     counter-based stream keyed on (seed, run): the work is O(runs) for any
     N, and results are bit-identical regardless of evaluation order.
+    """
+    return _draw_counts(config, survival_probability(config.psi, config.generator, config.theta_true))
+
+
+def _draw_counts(config: EstimationConfig, p: float) -> np.ndarray:
+    """One Binomial(trials_per_run, p) draw per run, from the run's own stream.
 
     One Philox generator serves every run: before each draw its state is
     reset to what ``Philox(key=[seed, run])`` starts from (counter 0, an
@@ -110,7 +118,6 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
     test_simulate_trials_matches_fresh_philox_streams fails if numpy
     changes this state layout.
     """
-    p = survival_probability(config.psi, config.generator, config.theta_true)
     bits = np.random.Philox(0)  # its state is replaced before each draw
     gen = np.random.Generator(bits)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -133,16 +140,36 @@ def simulate_trials(config: EstimationConfig) -> np.ndarray:
 def _invert_monotone(
     model: _SurvivalModel, targets: np.ndarray, bracket: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect all targets at once, each to its own width _BISECT_TOL; targets
-    outside the range of P on the bracket clip to the matching endpoint.
+    """Invert P at every target at once; targets outside the range of P on
+    the bracket clip to the matching endpoint.
 
-    Returns the angles and the mask of clipped targets.  The bisection
-    steps every target in lockstep and evaluates P alone, not dP/dtheta.
+    Returns the angles and the mask of clipped targets.  The bracket is
+    tabulated on _GRID_POINTS angles, and each unclipped target starts in
+    the grid cell where q = +-(P - t), signed to increase with theta, first
+    reaches 0, so q(low) < 0 <= q(high) on computed values.  All targets
+    then step in lockstep, one evaluation of P and dP/dtheta per step for
+    the targets still live (a safeguarded Newton iteration, Numerical
+    Recipes 9.4 rtsafe):
+
+    - the first step evaluates the cell's false-position point;
+    - each later step takes the Newton step from the last point when it
+      lands strictly inside the bracket, and bisects otherwise;
+    - a Newton step shorter than _BISECT_TOL/2 is replaced by one of
+      _BISECT_TOL/2 across the root, so the bracket closes;
+    - from the third step on, steps go in pairs, and the second step of a
+      pair that has not halved the bracket bisects (once per target it
+      may close the bracket instead).
+
+    Every pair but one per target halves the bracket, so from a cell of
+    width w no target takes more than 2 * ceil(log2(w / _BISECT_TOL)) + 4
+    steps.  Each target stops once its bracket is at most _BISECT_TOL wide,
+    or holds no float strictly inside (at angles whose float spacing
+    exceeds _BISECT_TOL), and returns the bracket's midpoint.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
-    grid = np.linspace(lo, hi, 257)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     probs, slopes = model.evaluate(grid)
     scale = float(np.max(np.abs(slopes)))
     if scale == 0.0:
@@ -153,22 +180,65 @@ def _invert_monotone(
     increasing = signs[0] > 0 if signs.size else True
 
     p_min, p_max = (probs[0], probs[-1]) if increasing else (probs[-1], probs[0])
-    lows = np.full(targets.shape, lo)
-    highs = np.full(targets.shape, hi)
-    live = (targets > p_min) & (targets < p_max) & (highs - lows > _BISECT_TOL)
-    while live.any():
-        mid = 0.5 * (lows + highs)
-        # P as evaluate() computes it, without the unused dP/dtheta sum
-        p_mid = np.clip(np.abs(model.amplitude(mid)[1]) ** 2, 0.0, 1.0)
-        up = (p_mid < targets) == increasing
-        lows = np.where(live & up, mid, lows)
-        highs = np.where(live & ~up, mid, highs)
-        live &= highs - lows > _BISECT_TOL
-    theta = 0.5 * (lows + highs)
     above, below = targets >= p_max, targets <= p_min
-    theta[above] = hi if increasing else lo
-    theta[below] = lo if increasing else hi
+    theta = np.where(above, hi if increasing else lo, lo if increasing else hi)
+    live = np.flatnonzero((targets > p_min) & (targets < p_max))
+    if live.size:
+        sign = 1.0 if increasing else -1.0
+        theta[live] = _newton_lockstep(model, sign, sign * targets[live], grid, sign * probs)
     return theta, above | below
+
+
+def _newton_lockstep(
+    model: _SurvivalModel, sign: float, t: np.ndarray, grid: np.ndarray, q_grid: np.ndarray
+) -> np.ndarray:
+    """The lockstep iteration of _invert_monotone for targets t strictly
+    inside the range of q_grid = sign * P on the grid, which q_grid's
+    running maximum orders."""
+    cell = np.searchsorted(np.maximum.accumulate(q_grid), t)
+    lows, highs = grid[cell - 1], grid[cell]
+    q_low, q_high = q_grid[cell - 1] - t, q_grid[cell] - t
+    x = lows + (highs - lows) * (q_low / (q_low - q_high))
+    x = np.where((lows < x) & (x < highs), x, 0.5 * (lows + highs))
+    theta = np.empty(t.shape)
+    rows = np.arange(t.size)
+    half = 0.5 * _BISECT_TOL
+    pair_start = highs - lows
+    may_close = np.ones(t.shape, dtype=bool)
+    step = 0
+    while True:
+        step += 1
+        p, dp = model.evaluate(x)
+        q = sign * p - t
+        rising = q < 0.0
+        lows = np.where(rising, x, lows)
+        highs = np.where(rising, highs, x)
+        width = highs - lows
+        mid = 0.5 * (lows + highs)
+        done = (width <= _BISECT_TOL) | (mid <= lows) | (mid >= highs)
+        if done.any():
+            theta[rows[done]] = mid[done]
+            keep = ~done
+            if not keep.any():
+                return theta
+            rows, t, x, q, dp, rising = rows[keep], t[keep], x[keep], q[keep], dp[keep], rising[keep]
+            lows, highs, width, mid = lows[keep], highs[keep], width[keep], mid[keep]
+            pair_start, may_close = pair_start[keep], may_close[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            move = -q / (sign * dp)
+        close = np.abs(move) < half
+        move = np.where(close, np.where(rising, half, -half), move)
+        nxt = x + move
+        inside = (lows < nxt) & (nxt < highs)
+        # the step about to be taken is step + 1; pairs are (3, 4), (5, 6), ...
+        if step >= 3 and step % 2 == 1:
+            guarded = width > 0.5 * pair_start
+            closing = guarded & close & may_close
+            may_close &= ~closing
+            inside &= ~guarded | closing
+        else:
+            pair_start = width
+        x = np.where(inside, nxt, mid)
 
 
 def estimate_theta(
@@ -178,7 +248,7 @@ def estimate_theta(
     g: SpinOperator,
     bracket: tuple[float, float],
 ) -> float:
-    """Invert the survival model at the observed frequency by bisection.
+    """Invert the survival model at the observed frequency (_invert_monotone).
 
     The bracket must lie where P(theta) is strictly monotone (checked; a
     sign change of dP/dtheta raises).  Frequencies outside the reachable
@@ -203,13 +273,14 @@ def crb_report(config: EstimationConfig) -> EstimationResult:
         raise ValueError(
             f"theta_true = {config.theta_true!r} outside the invertible window (0, {theta_peak!r})"
         )
-    counts = simulate_trials(config)
+    # the draw probability of simulate_trials, from the model already built
+    counts = _draw_counts(config, float(model.evaluate(float(config.theta_true))[0][0]))
     n = config.trials_per_run
     theta_hats, clipped = _invert_monotone(model, counts / n, (0.0, theta_peak))
     empirical = float(np.std(theta_hats, ddof=1))
     crb = 1.0 / math.sqrt(n * fisher)
     return EstimationResult(
-        theta_hats=theta_hats,
+        theta_hats=_frozen(theta_hats),
         empirical_sigma=empirical,
         crb_sigma=crb,
         ratio=empirical / crb,

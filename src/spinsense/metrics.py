@@ -22,6 +22,7 @@ from .spin import (
 PROJECTOR_TOL = 1e-10
 _DERIV_SUM_TOL = 1e-10
 _SCAN_POINTS = 4096
+_SCAN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,12 @@ class _SurvivalModel:
         if spread == 0.0:
             raise ValueError("degenerate model: the state is an eigenstate of the generator")
         thetas = np.linspace(0.0, 2.0 * math.pi / spread, _SCAN_POINTS)[1:]
-        slope = np.abs(self.evaluate(thetas)[1])
-        falls = np.flatnonzero(slope[1:] < slope[:-1])
-        return float(thetas[falls[0]] if falls.size else thetas[-1])
+        # chunks overlap by one angle, so every neighbouring pair is compared
+        # once and the scan stops in the chunk that holds the first fall
+        for start in range(0, thetas.size - 1, _SCAN_CHUNK - 1):
+            chunk = thetas[start : start + _SCAN_CHUNK]
+            slope = np.abs(self.evaluate(chunk)[1])
+            falls = np.flatnonzero(slope[1:] < slope[:-1])
+            if falls.size:
+                return float(chunk[falls[0]])
+        return float(thetas[-1])

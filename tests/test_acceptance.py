@@ -287,3 +287,62 @@ def test_criterion_10_correction_and_sensing_are_one_property():
         passed and worst <= 1e-12 and codes == 680,
         f"{codes} codes x 3 axes, largest relative disagreement {worst:.2e}",
     )
+
+
+def test_criterion_11_ae_codes_that_sense_every_rotation():
+    # C_KL for {Jx, Jy, Jz} on an AE code is diag((J(J+1) - m1^2)/2, same, m1^2),
+    # which is J(J+1)/3 times I, the covariance of a 2-anticoherent state, iff
+    # m1^2 = J(J+1)/3: the Pell equation (2J + 1)^2 - 12 m1^2 = 1.  Its solutions
+    # with m1 >= 3 and 2J <= 4096 are (48, 28) and (675, 390); every valid m2 of
+    # both is checked by four routes that share no code
+    rng = np.random.default_rng(11)
+    theta = 0.1
+    t0 = time.perf_counter()
+    worst = {"kl": 0.0, "moments": 0.0, "construct": 0.0, "dual": 0.0}
+    passed = True
+    codes = duals = 0
+    for jphys, m1, sampled in ((48, 28, None), (675, 390, 2)):
+        assert (2 * jphys + 1) ** 2 - 12 * m1 * m1 == 1
+        j = SpinJ(2 * jphys)
+        target = jphys * (jphys + 1) / 3.0
+        ops = build_spin_operators(j)
+        errors = ErrorSet([ops.jx, ops.jy, ops.jz])
+        w0 = construct_anticoherent(SupportSpec(j, (m1,)))
+        m2s = range(m1 + 3, jphys + 1)
+        # the dual on every code at J = 48; at J = 675 on both ends and a seeded sample
+        dual_m2s = set(m2s) if sampled is None else {m2s[0], m2s[-1], *rng.choice(m2s, sampled).tolist()}
+        for m2 in m2s:
+            code = ae_codewords(j, m1, m2)
+            kl = kl_check(code, errors, 1e-12 * target)
+            passed = passed and kl.passed
+            worst["kl"] = max(worst["kl"], float(np.max(np.abs(kl.c_matrix - target * np.eye(3)))) / target)
+            for w in code.codewords:
+                # anticoherence_report takes an absolute tolerance: state it relative to J(J+1)/3
+                rep = anticoherence_report(w, 1e-14 * target)
+                passed = passed and rep.order1 and rep.order2
+                worst["moments"] = max(worst["moments"], rep.max_first_moment / target,
+                                       rep.max_matrix_deviation / target)
+            w1 = construct_anticoherent(SupportSpec(j, (0, m2)))
+            for word, built in zip(code.codewords, (w0, w1)):
+                worst["construct"] = max(worst["construct"],
+                                         float(np.max(np.abs(word.amplitudes - built.amplitudes))))
+            if m2 in dual_m2s:
+                g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
+                variance = max_error_over_code(code, g, theta)[1] / theta**2
+                worst["dual"] = max(worst["dual"], abs(variance - target) / target)
+                duals += 1
+            codes += 1
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        11,
+        "AE codes with m1^2 = J(J+1)/3 have C_KL = J(J+1)/3 I and 2-anticoherent codewords",
+        passed
+        and codes == 18 + 283
+        and worst["kl"] <= 1e-14
+        and worst["moments"] <= 1e-14
+        and worst["construct"] <= 1e-15
+        and worst["dual"] <= 1e-12,
+        f"{codes} codes, {duals} duals, worst relative KL {worst['kl']:.1e}, moments "
+        f"{worst['moments']:.1e}, dual {worst['dual']:.1e}, construct {worst['construct']:.1e}, "
+        f"{elapsed:.1f}s",
+    )

@@ -7,6 +7,7 @@ from spinsense import (
     EstimationConfig,
     RotationAxis,
     SpinJ,
+    SpinOperator,
     axis_generator,
     basis_state,
     build_spin_operators,
@@ -17,6 +18,7 @@ from spinsense import (
     simulate_trials,
     survival_probability,
 )
+from spinsense import estimation, metrics
 from spinsense.estimation import _BISECT_TOL, _invert_monotone
 from spinsense.metrics import _SurvivalModel, qfi
 from helpers import random_state
@@ -256,7 +258,7 @@ def test_simulate_trials_binomial_moments():
 
 
 def _scalar_inversion(model, target, lo, hi):
-    """One target at a time: the reference for the lockstep bisection."""
+    """One target at a time by bisection: the reference for the lockstep inversion."""
     p_lo, p_hi = model.evaluate(lo)[0][0], model.evaluate(hi)[0][0]
     increasing = p_hi > p_lo
     if target >= max(p_lo, p_hi):
@@ -291,9 +293,15 @@ def test_invert_monotone_equals_scalar_bisection():
         )
         theta, clipped = _invert_monotone(model, targets, (0.0, hi))
         reference = [_scalar_inversion(model, t, 0.0, hi) for t in targets]
-        assert np.array_equal(theta, [r[0] for r in reference])
+        # both stop within _BISECT_TOL of one sign change of the computed P
+        assert np.all(np.abs(theta - [r[0] for r in reference]) <= _BISECT_TOL)
         assert np.array_equal(clipped, [r[1] for r in reference])
         assert np.count_nonzero(clipped) == 6
+        # certificate: P - t changes sign across [theta - tol, theta + tol]
+        uniform, found = targets[:40], theta[:40]
+        below = model.evaluate(found - _BISECT_TOL)[0] - uniform
+        above = model.evaluate(found + _BISECT_TOL)[0] - uniform
+        assert np.all(below * above < 0.0)
 
 
 def test_crb_report_counts_clipped_runs():
@@ -313,3 +321,105 @@ def test_crb_report_at_a_trillion_trials():
     assert result.crb_sigma == 1.0 / math.sqrt(n * qfi(noon_state(J2), JZ))
     assert result.clipped_runs == 0
     assert np.all(np.abs(result.theta_hats - 0.05) < 1e-5)
+
+
+def _count_evaluations(monkeypatch) -> list[int]:
+    calls = [0]
+    evaluate = _SurvivalModel.evaluate
+
+    def counting(self, theta):
+        calls[0] += 1
+        return evaluate(self, theta)
+
+    monkeypatch.setattr(_SurvivalModel, "evaluate", counting)
+    return calls
+
+
+def test_invert_monotone_step_count(monkeypatch):
+    model = _SurvivalModel(noon_state(J2), JZ)
+    peak = model.first_slope_peak()
+    cfg = _noon_config()
+    targets = simulate_trials(cfg) / cfg.trials_per_run
+    ends = model.evaluate(np.array([0.0, peak]))[0]
+    p_min, p_max = float(ends.min()), float(ends.max())
+    cell = peak / 256.0
+    cap = 2 * math.ceil(math.log2(cell / _BISECT_TOL)) + 4
+    calls = _count_evaluations(monkeypatch)
+    _invert_monotone(model, targets, (0.0, peak))
+    # one evaluation tabulates the grid, then one per lockstep step
+    assert calls[0] - 1 <= 6
+    for t in (np.nextafter(p_max, 0.0), p_max - 1e-15, p_min + 1e-15):
+        calls[0] = 0
+        theta, clipped = _invert_monotone(model, np.array([t]), (0.0, peak))
+        assert not clipped[0]
+        assert calls[0] - 1 <= cap, (t, calls[0])
+        ref, _ = _scalar_inversion(model, t, 0.0, peak)
+        assert abs(theta[0] - ref) <= _BISECT_TOL
+
+
+class _Budgeted:
+    """A survival model whose dP/dtheta is off by `factor`, and which fails
+    past `budget` evaluations, so an inversion that never stops fails
+    instead of hanging."""
+
+    def __init__(self, model, factor, budget):
+        self.model, self.factor, self.budget, self.calls = model, factor, budget, 0
+
+    def evaluate(self, theta):
+        self.calls += 1
+        assert self.calls <= self.budget, "evaluation budget exceeded"
+        p, dp = self.model.evaluate(theta)
+        return p, self.factor * dp
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_invert_monotone_keeps_its_cap_under_wrong_slopes(factor):
+    # slopes 1e6 times too steep make every Newton step a closing step that
+    # misses; 1e6 times too flat throw every Newton step out of the bracket
+    model = _SurvivalModel(noon_state(J2), JZ)
+    peak = model.first_slope_peak()
+    cap = 2 * math.ceil(math.log2(peak / 256.0 / _BISECT_TOL)) + 4
+    targets = np.linspace(0.55, 0.99, 9)
+    wrong = _Budgeted(model, factor, 1 + cap)
+    theta, clipped = _invert_monotone(wrong, targets, (0.0, peak))
+    assert not clipped.any()
+    reference = [_scalar_inversion(model, t, 0.0, peak)[0] for t in targets]
+    assert np.all(np.abs(theta - reference) <= _BISECT_TOL)
+
+
+def test_invert_monotone_stops_where_floats_are_coarser_than_the_tolerance():
+    # about 1e-5 Jz the invertible window reaches theta ~ 4e4, where adjacent
+    # floats are 7e-12 apart: no bracket there is _BISECT_TOL wide
+    g = SpinOperator(J2, 1e-5 * np.asarray(JZ.matrix), "small")
+    model = _SurvivalModel(noon_state(J2), g)
+    peak = model.first_slope_peak()
+    theta, clipped = _invert_monotone(_Budgeted(model, 1.0, 200), np.array([0.7, 0.9]), (0.0, peak))
+    assert not clipped.any()
+    exact = np.arccos(np.sqrt([0.7, 0.9])) / 2e-5
+    assert np.all(np.abs(theta - exact) <= 1e-9)
+
+
+def test_crb_report_builds_one_survival_model_and_draws_simulate_trials(monkeypatch):
+    built = []
+    drawn = []
+
+    class Counting(_SurvivalModel):
+        def __init__(self, psi, g):
+            built.append(g.label)
+            super().__init__(psi, g)
+
+    draw = estimation._draw_counts
+
+    def recording(config, p):
+        drawn.append(draw(config, p))
+        return drawn[-1]
+
+    monkeypatch.setattr(metrics, "_SurvivalModel", Counting)
+    monkeypatch.setattr(estimation, "_SurvivalModel", Counting)
+    monkeypatch.setattr(estimation, "_draw_counts", recording)
+    cfg = _noon_config()
+    crb_report(cfg)
+    assert len(built) == 1
+    assert len(drawn) == 1
+    monkeypatch.undo()
+    assert np.array_equal(drawn[0], simulate_trials(cfg))

@@ -21,6 +21,7 @@ from spinsense import (
     SpinJ,
     SpinOperator,
     SupportSpec,
+    crb_report,
     ThreeJArgs,
     ae_codewords,
     anticoherence_report,
@@ -123,3 +124,17 @@ def test_an_operator_keeps_the_matrix_it_was_checked_with():
         psi.amplitudes = np.ones(5)
     assert not psi.amplitudes.flags.writeable
     assert "def __setattr__" not in inspect.getsource(SpinOperator)
+
+
+def test_report_arrays_are_read_only():
+    # a report whose arrays could be written would contradict its own verdict
+    j = SpinJ(4)
+    jz = build_spin_operators(j).jz
+    result = crb_report(EstimationConfig(noon_state(j), jz, 0.05, 1000, 4, 42))
+    with pytest.raises(ValueError):
+        result.theta_hats[0] = 5.0
+    ops = build_spin_operators(SpinJ(12))
+    rep = kl_check(ae_codewords(SpinJ(12), 3, 6), ErrorSet([ops.jx, ops.jy, ops.jz]), 1e-9)
+    with pytest.raises(ValueError):
+        rep.c_matrix[0, 0] = 99
+    assert rep.passed

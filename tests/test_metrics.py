@@ -26,6 +26,7 @@ from spinsense import (
     survival_probability,
 )
 from spinsense import SupportSpec, axis_generator, RotationAxis
+from spinsense.metrics import _SurvivalModel
 from helpers import random_hermitian, random_state, random_unitary
 
 HALF = SpinJ(1)
@@ -316,3 +317,31 @@ def test_two_outcome_basis_respects_the_dense_limit():
     # the limit is checked before the (2J+1)^2 allocations, so this is fast
     with pytest.raises(ValueError, match="2J <= 4096"):
         ProjectorBasis.two_outcome(noon_state(SpinJ(10**6)))
+
+
+def _full_scan_peak(model: _SurvivalModel) -> float:
+    """The first fall of |dP/dtheta| over the whole 4095-angle grid at once."""
+    spread = float(model.evals.max() - model.evals.min())
+    thetas = np.linspace(0.0, 2.0 * math.pi / spread, 4096)[1:]
+    slope = np.abs(model.evaluate(thetas)[1])
+    falls = np.flatnonzero(slope[1:] < slope[:-1])
+    return float(thetas[falls[0]] if falls.size else thetas[-1])
+
+
+def test_first_slope_peak_matches_the_full_scan():
+    rng = np.random.default_rng(4095)
+    for n in range(300):
+        j = SpinJ(int(rng.integers(1, 13)))
+        axis = RotationAxis.from_vector(rng.normal(size=3))
+        if n % 3 == 0:
+            psi, axis = noon_state(j), RotationAxis.z() if n % 2 else axis
+        elif n % 3 == 1:
+            # (|J, m> + |J, -m>)/sqrt2 for a random 2m of the right parity
+            twice_m = int(rng.choice(np.arange(j.twice_j, 0, -2)))
+            amps = np.zeros(j.dim, dtype=complex)
+            amps[[j.index_of(twice_m), j.index_of(-twice_m)]] = 1.0 / math.sqrt(2.0)
+            psi = SpinState(j, amps)
+        else:
+            psi = random_state(j, rng)
+        model = _SurvivalModel(psi, axis_generator(j, axis))
+        assert model.first_slope_peak() == _full_scan_peak(model), n
