@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 a requested check failed at its tolerance, 1 bad
 input (unknown subcommand, malformed JSON, schema or parameter violations,
-a state too large to allocate).  Errors go to stderr as a single
+an input too large to allocate).  Errors go to stderr as a single
 machine-readable ``{"error": ...}`` line.  All numeric output is serialized
 with 17 significant digits.
 """
@@ -101,12 +101,7 @@ def _load_state(args) -> spin.SpinState:
             raise CliInputError("--twice-j is required with --state noon")
         from . import sensing
 
-        try:
-            return sensing.noon_state(spin.SpinJ(args.twice_j))
-        except MemoryError as exc:
-            # the O(d) paths have no dense cap; numpy names the size it could
-            # not allocate
-            raise CliInputError(f"out of memory: {exc}" if str(exc) else "out of memory") from None
+        return sensing.noon_state(spin.SpinJ(args.twice_j))
     return spin.SpinState.from_json_dict(_read_json_document(args.input))
 
 
@@ -412,6 +407,9 @@ def main(argv=None) -> int:
             return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliInputError, ValueError, TypeError, RuntimeWarning) as exc:
         message = str(exc)
+    except MemoryError as exc:
+        # the O(d) paths have no dense cap; numpy names the size it could not allocate
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
     sys.stderr.write(_to_json({"error": message}) + "\n")
     return 1
 

@@ -12,6 +12,7 @@ from .spin import (
     SpinJ,
     SpinOperator,
     SpinState,
+    _apply_block,
     _frozen,
     apply,
     check_tolerance,
@@ -97,11 +98,10 @@ class RecoverySet:
         if not self.ops:
             raise ValueError("recovery set is empty")
         j = self.j
-        total = np.zeros((j.dim, j.dim), dtype=complex)
-        for op in self.ops:
-            if op.j != j:
-                raise ValueError("recovery operators act on different spin spaces")
-            total += op.matrix.conj().T @ op.matrix
+        if any(op.j != j for op in self.ops):
+            raise ValueError("recovery operators act on different spin spaces")
+        # the first read of .matrix checks the dense limit, before any d x d sum is made
+        total = sum(op.matrix.conj().T @ op.matrix for op in self.ops)
         slack = np.linalg.eigvalsh(np.eye(j.dim) - total)
         if float(slack.min()) < -1e-9:
             raise ValueError("recovery set exceeds identity: sum R^dag R > I")
@@ -139,30 +139,35 @@ def _delta_report(blocks: np.ndarray, tol: float) -> ConditionReport:
     return ConditionReport(_frozen(c), violation, violation <= tol, max_off, max_spread)
 
 
-def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
-    """Check the detection condition <i|E_a|j> = delta_ij C_a for every error."""
+def _images(code: CodeSpace, errors: ErrorSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """B, the d x k codeword basis, and its images E_a B, shape (n, d, k)."""
     if errors.j != code.j:
         raise ValueError("error set does not match the code space dimension")
     check_tolerance(tol)
     basis = code.basis_matrix()
-    bra = basis.conj().T
-    # blocks[a] = B^dag E_a B, shape (n, k, k)
-    return _delta_report(np.stack([bra @ err.matrix for err in errors.ops]) @ basis, tol)
+    return basis, np.stack([_apply_block(err, basis) for err in errors.ops])
+
+
+def detection_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
+    """Check the detection condition <i|E_a|j> = delta_ij C_a for every error."""
+    basis, images = _images(code, errors, tol)
+    # blocks[a] = B^dag (E_a B), shape (n, k, k)
+    return _delta_report(basis.conj().T @ images, tol)
 
 
 def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
     """Check the Knill-Laflamme condition <i|E_a^dag E_b|j> = delta_ij C_ab."""
-    if errors.j != code.j:
-        raise ValueError("error set does not match the code space dimension")
-    check_tolerance(tol)
-    # |(E_a B)^dag (E_b B)| <= d^2 max|E_a| max|E_b| entrywise (B has unit columns), and the
-    # sums formed from it stay within 2d times that: none overflows if max|E|^2 <= max / (2d^4)
-    limit = math.sqrt(np.finfo(float).max / 2.0) / code.j.dim**2
-    for err in errors.ops:
-        if float(np.max(np.abs(err.matrix))) > limit:
+    # an image that overflows is caught by the bound below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, images = _images(code, errors, tol)
+    # With m = max |E_a B| over all a, each partial sum of the real or imaginary part
+    # of an entry of (E_a B)^dag (E_b B), a sum over d rows, is at most d m^2; a sum of
+    # k <= d such entries in _delta_report is at most d^2 m^2, and |z| <= sqrt(2) max part.
+    # So none overflows if m <= sqrt(max / 2) / d.  NaN and inf fail the test.
+    limit = math.sqrt(np.finfo(float).max / 2.0) / code.j.dim
+    for err, image in zip(errors.ops, images):
+        if not float(np.max(np.abs(image))) <= limit:
             raise ValueError(f"operator {err.label!r} is too large: Knill-Laflamme products would overflow")
-    basis = code.basis_matrix()
-    images = np.stack([err.matrix @ basis for err in errors.ops])
     # blocks[a, b] = (E_a B)^dag (E_b B), shape (n, n, k, k)
     return _delta_report(images.conj().transpose(0, 2, 1)[:, None] @ images, tol)
 
@@ -193,9 +198,9 @@ def error_with_recovery(psi: SpinState, errors: ErrorSet, recoveries: RecoverySe
         raise ValueError("operator dimensions do not match the state")
     total = 0.0
     for err in errors.ops:
-        img = err.matrix @ psi.amplitudes
+        img = _apply_block(err, psi.amplitudes)
         for rec in recoveries.ops:
-            w = rec.matrix @ img
+            w = _apply_block(rec, img)
             total += float(np.real(np.vdot(w, w))) - abs(complex(np.vdot(psi.amplitudes, w))) ** 2
     return max(total, 0.0)
 
@@ -227,7 +232,7 @@ def max_error_over_code(
         raise ValueError("generator does not match the code space dimension")
     basis = code.basis_matrix()
     k = len(code.codewords)
-    gb = g.matrix @ basis
+    gb = _apply_block(g, basis)
     a1 = basis.conj().T @ gb
     # Var is unchanged by G -> G - s; centring A1 puts every scale below on
     # the spread of G over the code, not on its mean

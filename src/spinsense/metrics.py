@@ -61,7 +61,7 @@ class ProjectorBasis:
         if not self.projectors:
             raise ValueError("projector set is empty")
         dim = self.j.dim
-        total = np.zeros((dim, dim), dtype=complex)
+        total = _banded(dim, {})  # capped, before any d x d allocation
         for idx, p in enumerate(self.projectors):
             if p.j != self.j:
                 raise ValueError("projectors act on different spin spaces")

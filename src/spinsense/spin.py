@@ -187,20 +187,20 @@ def overlap(a: SpinState, b: SpinState) -> complex:
 
 @dataclass(frozen=True)
 class SpinOperator:
-    """Labeled dense complex operator on a spin-J space.
+    """Labeled complex operator on a spin-J space.
 
     The constructor copies the matrix it is given; the copy is frozen.  The
-    generators u . J of axis_generator and the rotations generator_unitary
-    builds from them keep instead the data they are built from, their form
-    (_BandForm, _RotationForm): `apply` and the checks read the form, and
-    `matrix` is built from it, frozen, when it is first read.
+    standard operators, u . J, the tensor components and the rotations of u . J
+    keep instead the data they are built from, their form (_BandForm,
+    _RotationForm): `apply` and the checks read the form, and `matrix` is built
+    from it, frozen, when it is first read.
     """
 
     j: SpinJ
     matrix: np.ndarray
     label: str = ""
-    # the form, see above; None on every other operator
-    _axis_tag: _BandForm | _RotationForm | None = field(
+    # the form, see above; None on an operator built from its matrix
+    _form: _BandForm | _RotationForm | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -211,7 +211,7 @@ class SpinOperator:
     def __getattr__(self, name):
         # only reached while the attribute is unset: `matrix` of an operator
         # with a form, before its first read; the one write after construction
-        form = self.__dict__.get("_axis_tag")
+        form = self.__dict__.get("_form")
         if name != "matrix" or form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         mat = self.__dict__["matrix"] = _checked_matrix(self.j, form.dense(), self.label)
@@ -222,31 +222,28 @@ class SpinOperator:
         """Wrap a complex matrix the library has just allocated, without copying
         it; the checks of the constructor still run and the matrix is frozen."""
         op = cls.__new__(cls)
-        op.__dict__.update(j=j, label=label, _axis_tag=None, matrix=_checked_matrix(j, mat, label))
+        op.__dict__.update(j=j, label=label, _form=None, matrix=_checked_matrix(j, mat, label))
         return op
 
     @classmethod
     def _from_form(cls, j: SpinJ, form: _BandForm | _RotationForm, label: str) -> "SpinOperator":
         """An operator that keeps its form; its matrix is built on first read."""
         op = cls.__new__(cls)
-        op.__dict__.update(j=j, label=label, _axis_tag=form)
+        op.__dict__.update(j=j, label=label, _form=form)
         return op
 
     @property
     def axis(self) -> RotationAxis | None:
         """The axis u if axis_generator built this operator as u . J, else None."""
-        form = self._axis_tag
-        return form.axis if isinstance(form, _BandForm) else None
+        return self._form.axis if isinstance(self._form, _BandForm) else None
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         """max |M - M^dag| <= tol * max(1, max |M|), read in strips of _STRIP rows
-        (see _hermitian_defect), so no d x d temporary is allocated; u . J reads
-        its three bands instead, to the same two numbers."""
-        form = self._axis_tag
-        if isinstance(form, _BandForm):
-            defect, size = form.hermitian_defect()
-        else:
-            defect, size = _hermitian_defect(self.matrix)
+        (see _hermitian_defect), so no d x d temporary is allocated; a banded
+        operator reads its bands instead, to the same two numbers."""
+        form = self._form
+        banded = isinstance(form, _BandForm)
+        defect, size = form.hermitian_defect() if banded else _hermitian_defect(self.matrix)
         return defect <= tol * max(1.0, size)
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
@@ -257,7 +254,7 @@ class SpinOperator:
         ||U^dag U - I||_2, which is at least every |entry| of U^dag U - I,
         with tol (_RotationForm.unitary_bound).
         """
-        form = self._axis_tag
+        form = self._form
         if isinstance(form, _RotationForm):
             return form.unitary_bound() <= tol
         # (U^dag U)_jj = sum_i |U_ij|^2, so one |U_ij|^2 above 1 + |tol| decides
@@ -370,16 +367,11 @@ def _ladder(twice_j: int) -> np.ndarray:
     return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
 
 
-def _check_dense_limit(dim: int) -> None:
-    """Reject 2J = dim - 1 above MAX_DENSE_TWICE_J, before any d x d allocation."""
+def _banded(dim: int, bands: dict, dtype=complex) -> np.ndarray:
+    """Dense dim x dim matrix (complex by default, 2J <= MAX_DENSE_TWICE_J checked first) with
+    bands[q] on the entries (i, i + q); a band holds dim - |q| values, or one scalar for all of them."""
     if dim - 1 > MAX_DENSE_TWICE_J:
         raise ValueError(f"2J = {dim - 1} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
-
-
-def _banded(dim: int, bands: dict, dtype=complex) -> np.ndarray:
-    """Dense dim x dim matrix (complex by default) with bands[q] on the entries
-    (i, i + q); a band holds dim - |q| values, or one scalar for all of them."""
-    _check_dense_limit(dim)
     mat = np.zeros((dim, dim), dtype=dtype)
     flat = mat.reshape(-1)
     for q, values in bands.items():
@@ -391,75 +383,74 @@ def _banded(dim: int, bands: dict, dtype=complex) -> np.ndarray:
     return mat
 
 
-def _standard_diagonals(j: SpinJ) -> dict[str, dict]:
-    """The diagonals of I, Jx, Jy, Jz, J+, J- and J^2, keyed by offset (see _banded).
+def _rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v shaped to scale the rows of x, a vector or a d x k block."""
+    return v if x.ndim == 1 else v[:, None]
+
+
+def _standard_bands(j: SpinJ, label: str) -> dict:
+    """The bands of I, Jx, Jy, Jz, J+, J- or J^2, keyed by offset (see _banded).
 
     Jz is diagonal with entries m; J+ carries the ladder vector one step up
     the ladder; Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).  J^2 is J(J+1)
     times the identity in closed form.
     """
+    if label == "Jz":
+        return {0: j.m_values()}
+    if label in ("I", "J^2"):
+        return {0: np.full(j.dim, 1.0 if label == "I" else j.j * (j.j + 1.0))}
     c = _ladder(j.twice_j)
     half = c / 2.0
-    return {
-        "I": {0: 1.0},
-        "Jx": {1: half, -1: half},
-        "Jy": {1: -1j * half, -1: 1j * half},
-        "Jz": {0: j.m_values()},
-        "J+": {1: c},
-        "J-": {-1: c},
-        "J^2": {0: j.j * (j.j + 1.0)},
-    }
+    ladders = {"Jx": {1: half, -1: half}, "Jy": {1: -1j * half, -1: 1j * half}, "J+": {1: c}, "J-": {-1: c}}
+    return ladders[label]
 
 
 def _standard_operator(j: SpinJ, label: str) -> SpinOperator:
-    """The one dense standard operator with this label (see _standard_diagonals)."""
-    return SpinOperator._owned(j, _banded(j.dim, _standard_diagonals(j)[label]), label)
+    """The standard operator with this label, kept as its bands (_standard_bands)."""
+    return SpinOperator._from_form(j, _BandForm(j.dim, _standard_bands(j, label)), label)
 
 
 def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
-    """Dense matrices for Jx, Jy, Jz, J+, J-, and J^2 (see _standard_diagonals)."""
-    dim, diagonals = j.dim, _standard_diagonals(j)
+    """Jx, Jy, Jz, J+, J- and J^2, each kept as its bands (_standard_operator)."""
     labels = ("Jx", "Jy", "Jz", "J+", "J-", "J^2")
-    return SpinOperatorSet(
-        *[SpinOperator._owned(j, _banded(dim, diagonals[label]), label) for label in labels]
-    )
+    return SpinOperatorSet(*[_standard_operator(j, label) for label in labels])
 
 
 class _BandForm:
-    """u . J as its three bands, the data axis_generator builds it from: the
-    diagonal uz m and (ux -+ i uy) c/2 above and below it, c the ladder vector."""
+    """A banded operator as its bands {q: values on the entries (i, i + q)}
+    (see _banded), and the axis u when it is the u . J of axis_generator."""
 
-    __slots__ = ("axis", "diag", "upper", "lower")
+    __slots__ = ("dim", "bands", "axis")
 
-    def __init__(self, j: SpinJ, u: RotationAxis):
-        # its matrix may yet be read, and its rotations read the d x d basis
-        _check_dense_limit(j.dim)
-        ux, uy, uz = u.u
-        half = _ladder(j.twice_j) / 2.0
-        self.axis = u
-        self.diag = _frozen(uz * j.m_values())
-        self.upper = _frozen(complex(ux, -uy) * half)
-        self.lower = _frozen(complex(ux, uy) * half)
+    def __init__(self, dim: int, bands: dict, axis: RotationAxis | None = None):
+        self.dim = dim
+        self.bands = {q: _frozen(band) for q, band in bands.items()}
+        self.axis = axis
 
     def dense(self) -> np.ndarray:
-        return _banded(self.diag.size, {0: self.diag, 1: self.upper, -1: self.lower})
+        return _banded(self.dim, self.bands)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
+        """M x for x of shape (d,) or (d, k), one slice-add per band off the diagonal."""
+        diag = self.bands.get(0)
+        y = _rows(diag, x) * x if diag is not None else np.zeros(x.shape, dtype=complex)
+        for q, band in self.bands.items():
+            if q > 0:
+                y[:-q] += _rows(band, x) * x[q:]
+            elif q < 0:
+                y[-q:] += _rows(band, x) * x[:q]
         return y
 
     def hermitian_defect(self) -> tuple[float, float]:
-        """_hermitian_defect of the dense matrix, to the bit, in O(d): every
-        entry off the bands is 0 on both sides of M - M^dag, and the entries of
-        M - M^dag below the diagonal match those above it in modulus exactly."""
-        diag = self.diag
-        defect = max(
-            float(np.max(np.abs(diag - np.conj(diag)))),
-            float(np.max(np.abs(self.upper - np.conj(self.lower)), initial=0.0)),
-        )
-        size = max(float(np.max(np.abs(band), initial=0.0)) for band in (diag, self.upper, self.lower))
+        """_hermitian_defect of the dense matrix, to the bit, in O(d): band q >= 0
+        of M - M^dag is b_q - conj(b_-q) (a missing band is 0), band -q holds the
+        same moduli, and every other entry is 0."""
+        defect = size = 0.0
+        for q, band in self.bands.items():
+            size = max(size, float(np.max(np.abs(band), initial=0.0)))
+            if q >= 0 or -q not in self.bands:
+                diff = band - np.conj(self.bands.get(-q, 0.0))
+                defect = max(defect, float(np.max(np.abs(diff), initial=0.0)))
         return defect, size
 
 
@@ -472,7 +463,9 @@ def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     the Wigner basis.
     """
     ux, uy, uz = u.u
-    return SpinOperator._from_form(j, _BandForm(j, u), f"u.J[{ux:g},{uy:g},{uz:g}]")
+    half = _ladder(j.twice_j) / 2.0
+    bands = {0: uz * j.m_values(), 1: complex(ux, -uy) * half, -1: complex(ux, uy) * half}
+    return SpinOperator._from_form(j, _BandForm(j.dim, bands, u), f"u.J[{ux:g},{uy:g},{uz:g}]")
 
 
 @lru_cache(maxsize=4)
@@ -590,14 +583,14 @@ class _RotationForm:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """U x = D_a d(b) (D_c x), with d(b) applied to the real block
-        [Re, Im] of D_c x (_wigner_small_d): no d x d array."""
+        """U x = D_a d(b) (D_c x) for x of shape (d,) or (d, k), with d(b) applied
+        to the real block [Re, Im] of D_c x (_wigner_small_d): no d x d array."""
         if self.inner is None:
-            return self.outer * x
-        y = self.inner * x
-        # [Re, Im] of y as a d x 2 view
-        w = _wigner_small_d(self.j, self.beta, y.view(float).reshape(-1, 2))
-        return self.outer * (w[:, 0] + 1j * w[:, 1])
+            return _rows(self.outer, x) * x
+        y = np.ascontiguousarray(_rows(self.inner, x) * x)
+        # Re and Im of each column of y side by side, a d x 2k view
+        w = _wigner_small_d(self.j, self.beta, y.view(float).reshape(self.j.dim, -1))
+        return _rows(self.outer, x) * (w[:, 0::2] + 1j * w[:, 1::2]).reshape(x.shape)
 
     def unitary_bound(self) -> float:
         """A bound on ||U^dag U - I||_2 for U = D_a M D_c, M = d(b)
@@ -723,13 +716,17 @@ def rotation_unitary(j: SpinJ, theta: float, u: RotationAxis) -> SpinOperator:
     return generator_unitary(axis_generator(j, u), theta)
 
 
+def _apply_block(op: SpinOperator, x: np.ndarray) -> np.ndarray:
+    """op x for x of shape (d,) or (d, k): the form where op keeps one (SpinOperator)."""
+    form = op._form
+    return op.matrix @ x if form is None else form.apply(x)
+
+
 def apply(op: SpinOperator, psi: SpinState) -> np.ndarray:
-    """Matrix-vector product op|psi> as a raw, unnormalized vector; an operator
-    that keeps its form (SpinOperator) applies the form, not its matrix."""
+    """Matrix-vector product op|psi> as a raw, unnormalized vector (_apply_block)."""
     if op.j != psi.j:
         raise ValueError(f"dimension mismatch: operator 2J={op.j.twice_j}, state 2J={psi.j.twice_j}")
-    form = op._axis_tag
-    return op.matrix @ psi.amplitudes if form is None else form.apply(psi.amplitudes)
+    return _apply_block(op, psi.amplitudes)
 
 
 def expectation_and_variance(psi: SpinState, g: SpinOperator) -> tuple[float, float]:

@@ -7,11 +7,11 @@ point once at the end, which keeps them cancellation-free up to J ~ 50.
 All angular momenta and projections are passed as twice-values so
 half-integers stay exact.
 
-Each tensor component T_q^(k) is one diagonal at offset q, filled from the
-ladder vector of J+ in O(d); the reduced matrix elements <J||T^(k)||J> are
-closed forms.  The Wigner-Eckart route (3j symbols times the reduced
-element) and the dense route (the tensor matrix applied to the state) share
-no arithmetic, so each checks the other.
+Each tensor component T_q^(k) is one band at offset q, computed from the
+ladder vector of J+ in O(d) and kept as that band; the reduced matrix
+elements <J||T^(k)||J> are closed forms.  The Wigner-Eckart route (3j
+symbols times the reduced element) and the operator route (the band applied
+to the state) share no arithmetic, so each checks the other.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin import SpinJ, SpinOperator, SpinState, _banded, _ladder, apply
+from .spin import SpinJ, SpinOperator, SpinState, _BandForm, _ladder, apply
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -106,7 +106,7 @@ def _three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -
 
 @dataclass(frozen=True)
 class TensorOperator:
-    """Irreducible tensor component T_q^(k) as a dense operator."""
+    """Irreducible tensor component T_q^(k), an operator that keeps its one band."""
 
     k: int
     q: int
@@ -133,9 +133,9 @@ def _check_rank(twice_j: int, k: int, q: int = 0) -> None:
 
 
 def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
-    """Rank-1 or rank-2 spherical tensor component T_q^(k) as a dense operator.
+    """Rank-1 or rank-2 spherical tensor component T_q^(k), kept as its band.
 
-    Each component connects |J,m> only to |J,m+q>, so it is one real diagonal
+    Each component connects |J,m> only to |J,m+q>, so it is one real band
     at offset q, computed in O(d) from m and the ladder vector c of J+:
     T1_0 = Jz and T1_+-1 = -+J+-/sqrt2 (diagonal m and -+c/sqrt2);
     T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
@@ -153,8 +153,7 @@ def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
         band = sign * 0.5 * c * (m[:-1] + m[1:])
     else:
         band = 0.5 * c[:-1] * c[1:]
-    mat = _banded(j.dim, {q: band})
-    return TensorOperator(k, q, SpinOperator._owned(j, mat, label=f"T({k},{q:+d})"))
+    return TensorOperator(k, q, SpinOperator._from_form(j, _BandForm(j.dim, {q: band}), f"T({k},{q:+d})"))
 
 
 def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:
@@ -177,8 +176,8 @@ def _closed_form_reduced(twice_j: int, k: int) -> float:
 def we_expectation(psi: SpinState, k: int, q: int) -> complex:
     """<psi| T_q^(k) |psi> via the Wigner-Eckart 3j-weighted coefficient sum.
 
-    Independent of the dense matrix route: only amplitudes, 3j symbols and
-    the closed-form reduced matrix element enter.
+    Independent of the operator route (dense_expectation): only amplitudes,
+    3j symbols and the closed-form reduced matrix element enter.
     """
     j = psi.j
     tj = j.twice_j
@@ -201,6 +200,6 @@ def we_expectation(psi: SpinState, k: int, q: int) -> complex:
 
 
 def dense_expectation(psi: SpinState, k: int, q: int) -> complex:
-    """<psi| T_q^(k) |psi> by plain dense algebra (the cross-check route)."""
+    """<psi| T_q^(k) |psi> from the band of tensor_operator (the cross-check route)."""
     t = tensor_operator(psi.j, k, q)
     return complex(np.vdot(psi.amplitudes, apply(t.op, psi)))

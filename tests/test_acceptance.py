@@ -1,8 +1,12 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with -s to see them among the dots)."""
 
+import contextlib
+import io
+import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from spinsense import (
     statistical_distance,
     we_expectation,
 )
+from spinsense.cli import main
 from spinsense.wigner import dense_expectation
 from helpers import random_hermitian, random_state, random_symmetric_state, random_unitary
 
@@ -51,6 +56,15 @@ def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def _cli(argv, stdin_text, monkeypatch):
+    """(exit code, stdout, stderr) of one in-process CLI call on stdin_text."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def test_criterion_1_qfi_identity():
@@ -289,14 +303,49 @@ def test_criterion_10_correction_and_sensing_are_one_property():
     )
 
 
+def _pell_code(j, m1, m2, errors, w0, worst, axis=None):
+    """Check one AE code on a Pell solution m1^2 = J(J+1)/3 by the routes of
+    criterion 11, folding each relative deviation into `worst`; True if every
+    check passes."""
+    target = j.j * (j.j + 1.0) / 3.0
+    code = ae_codewords(j, m1, m2)
+    kl = kl_check(code, errors, 1e-12 * target)
+    passed = kl.passed
+    worst["kl"] = max(worst["kl"], float(np.max(np.abs(kl.c_matrix - target * np.eye(3)))) / target)
+    for w in code.codewords:
+        # anticoherence_report takes an absolute tolerance: state it relative to J(J+1)/3
+        rep = anticoherence_report(w, 1e-14 * target)
+        passed = passed and rep.order1 and rep.order2
+        moments = max(rep.max_first_moment, rep.max_matrix_deviation) / target
+        worst["moments"] = max(worst["moments"], moments)
+    w1 = construct_anticoherent(SupportSpec(j, (0, m2)))
+    for word, built in zip(code.codewords, (w0, w1)):
+        gap = float(np.max(np.abs(word.amplitudes - built.amplitudes)))
+        worst["construct"] = max(worst["construct"], gap)
+    if axis is not None:
+        theta = 0.1
+        variance = max_error_over_code(code, axis_generator(j, axis), theta)[1] / theta**2
+        worst["dual"] = max(worst["dual"], abs(variance - target) / target)
+    return passed
+
+
+def _worst_line(worst):
+    return (f"worst relative KL {worst['kl']:.1e}, moments {worst['moments']:.1e}, "
+            f"dual {worst['dual']:.1e}, construct {worst['construct']:.1e}")
+
+
+def _within(worst):
+    bounds = {"kl": 1e-14, "moments": 1e-14, "construct": 1e-15, "dual": 1e-12}
+    return all(worst[key] <= bound for key, bound in bounds.items())
+
+
 def test_criterion_11_ae_codes_that_sense_every_rotation():
     # C_KL for {Jx, Jy, Jz} on an AE code is diag((J(J+1) - m1^2)/2, same, m1^2),
     # which is J(J+1)/3 times I, the covariance of a 2-anticoherent state, iff
-    # m1^2 = J(J+1)/3: the Pell equation (2J + 1)^2 - 12 m1^2 = 1.  Its solutions
-    # with m1 >= 3 and 2J <= 4096 are (48, 28) and (675, 390); every valid m2 of
+    # m1^2 = J(J+1)/3: the Pell equation (2J + 1)^2 - 12 m1^2 = 1.  Its first
+    # solutions with m1 >= 3 are (48, 28) and (675, 390); every valid m2 of
     # both is checked by four routes that share no code
     rng = np.random.default_rng(11)
-    theta = 0.1
     t0 = time.perf_counter()
     worst = {"kl": 0.0, "moments": 0.0, "construct": 0.0, "dual": 0.0}
     passed = True
@@ -304,7 +353,6 @@ def test_criterion_11_ae_codes_that_sense_every_rotation():
     for jphys, m1, sampled in ((48, 28, None), (675, 390, 2)):
         assert (2 * jphys + 1) ** 2 - 12 * m1 * m1 == 1
         j = SpinJ(2 * jphys)
-        target = jphys * (jphys + 1) / 3.0
         ops = build_spin_operators(j)
         errors = ErrorSet([ops.jx, ops.jy, ops.jz])
         w0 = construct_anticoherent(SupportSpec(j, (m1,)))
@@ -312,37 +360,101 @@ def test_criterion_11_ae_codes_that_sense_every_rotation():
         # the dual on every code at J = 48; at J = 675 on both ends and a seeded sample
         dual_m2s = set(m2s) if sampled is None else {m2s[0], m2s[-1], *rng.choice(m2s, sampled).tolist()}
         for m2 in m2s:
-            code = ae_codewords(j, m1, m2)
-            kl = kl_check(code, errors, 1e-12 * target)
-            passed = passed and kl.passed
-            worst["kl"] = max(worst["kl"], float(np.max(np.abs(kl.c_matrix - target * np.eye(3)))) / target)
-            for w in code.codewords:
-                # anticoherence_report takes an absolute tolerance: state it relative to J(J+1)/3
-                rep = anticoherence_report(w, 1e-14 * target)
-                passed = passed and rep.order1 and rep.order2
-                worst["moments"] = max(worst["moments"], rep.max_first_moment / target,
-                                       rep.max_matrix_deviation / target)
-            w1 = construct_anticoherent(SupportSpec(j, (0, m2)))
-            for word, built in zip(code.codewords, (w0, w1)):
-                worst["construct"] = max(worst["construct"],
-                                         float(np.max(np.abs(word.amplitudes - built.amplitudes))))
-            if m2 in dual_m2s:
-                g = axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))
-                variance = max_error_over_code(code, g, theta)[1] / theta**2
-                worst["dual"] = max(worst["dual"], abs(variance - target) / target)
-                duals += 1
+            axis = RotationAxis.from_vector(rng.normal(size=3)) if m2 in dual_m2s else None
+            passed = _pell_code(j, m1, m2, errors, w0, worst, axis) and passed
+            duals += axis is not None
             codes += 1
     elapsed = time.perf_counter() - t0
     _verdict(
         11,
         "AE codes with m1^2 = J(J+1)/3 have C_KL = J(J+1)/3 I and 2-anticoherent codewords",
-        passed
-        and codes == 18 + 283
-        and worst["kl"] <= 1e-14
-        and worst["moments"] <= 1e-14
-        and worst["construct"] <= 1e-15
-        and worst["dual"] <= 1e-12,
-        f"{codes} codes, {duals} duals, worst relative KL {worst['kl']:.1e}, moments "
-        f"{worst['moments']:.1e}, dual {worst['dual']:.1e}, construct {worst['construct']:.1e}, "
-        f"{elapsed:.1f}s",
+        passed and codes == 18 + 283 and _within(worst),
+        f"{codes} codes, {duals} duals, {_worst_line(worst)}, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_11_beyond_the_dense_limit(monkeypatch):
+    # the next Pell solution, J = 9408 (2J = 18816), is far over the 2J <= 4096
+    # limit on d x d arrays: every route of criterion 11 runs on bands and d x k
+    # blocks, on seeded m2 that include both ends, m1 + 3 and J
+    jphys, m1 = 9408, 5432
+    assert (2 * jphys + 1) ** 2 - 12 * m1 * m1 == 1
+    rng = np.random.default_rng(9408)
+    j = SpinJ(2 * jphys)
+    target = jphys * (jphys + 1) / 3.0
+    m2s = [m1 + 3, jphys, *rng.integers(m1 + 4, jphys, 2).tolist()]
+    worst = {"kl": 0.0, "moments": 0.0, "construct": 0.0, "dual": 0.0}
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        ops = build_spin_operators(j)
+        errors = ErrorSet([ops.jx, ops.jy, ops.jz])
+        w0 = construct_anticoherent(SupportSpec(j, (m1,)))
+        passed = True
+        for m2 in m2s:
+            axis = RotationAxis.from_vector(rng.normal(size=3))
+            passed = _pell_code(j, m1, m2, errors, w0, worst, axis) and passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - t0
+    # the CLI pipe, with the tolerance of the library check: 1e-12 relative to J(J+1)/3
+    tol = repr(1e-12 * target)
+    piped = []
+    for m2 in (m1 + 3, jphys):
+        rc, code_json, _ = _cli(["ae-code", "--twice-j", str(j.twice_j), "--m1", str(m1), "--m2", str(m2)],
+                                "", monkeypatch)
+        rc2, out, err = _cli(["code-check", "--errors", "Jx,Jy,Jz", "--tol", tol], code_json, monkeypatch)
+        c = np.array(json.loads(out)["kl"]["c_re"]) if out else np.full((3, 3), np.nan)
+        gap = float(np.max(np.abs(c - target * np.eye(3))))
+        piped.append(rc == rc2 == 0 and err == "" and gap <= 1e-14 * target)
+    # 100 d x k complex entries: far below one d x d matrix (5.7 GB here)
+    bound = 100 * j.dim * 2 * 16
+    _verdict(
+        11,
+        "the AE codes on the Pell solution J = 9408 pass every route of criterion 11 on bands",
+        passed and _within(worst) and peak < bound and all(piped),
+        f"m2 in {m2s}, {_worst_line(worst)}, peak {peak / 1e6:.1f} MB of {bound / 1e6:.0f} MB, "
+        f"CLI pipes {piped}, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_11_converse():
+    # the closed form of C_KL holds on every AE code, and so no AE code off the
+    # Pell solutions is 2-anticoherent: both codewords have <Jz^2> = m1^2 and
+    # zero first moments and <J+-^2>, so order 2 fails exactly where
+    # m1^2 != J(J+1)/3, by at least 1/3
+    t0 = time.perf_counter()
+    closed = 0.0
+    for twice_j in range(12, 41, 2):
+        j = SpinJ(twice_j)
+        ops = build_spin_operators(j)
+        errors = ErrorSet([ops.jx, ops.jy, ops.jz])
+        jj = j.j * (j.j + 1.0)
+        for m1 in range(3, twice_j // 2 - 2):
+            want = np.diag([(jj - m1 * m1) / 2.0, (jj - m1 * m1) / 2.0, m1 * m1])
+            for m2 in range(m1 + 3, twice_j // 2 + 1):
+                c = kl_check(ae_codewords(j, m1, m2), errors, 1e-9).c_matrix
+                closed = max(closed, float(np.max(np.abs(c - want))) / jj)
+    anticoherent = set()
+    codes = 0
+    agree = True
+    for twice_j in range(12, 101, 2):
+        j = SpinJ(twice_j)
+        for m1 in range(3, twice_j // 2 - 2):
+            for m2 in range(m1 + 3, twice_j // 2 + 1):
+                w0, w1 = (anticoherence_report(w, 1e-9).order2 for w in ae_codewords(j, m1, m2).codewords)
+                agree = agree and w0 == w1
+                if w0:
+                    anticoherent.add((twice_j // 2, m1))
+                codes += 1
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        11,
+        "C_KL = diag((J(J+1) - m1^2)/2, same, m1^2) on 680 AE codes, and only (J, m1) = (48, 28) "
+        "is 2-anticoherent for 2J <= 100",
+        # sum over J = 6..50 of (J - 5)(J - 4)/2 codes
+        closed <= 1e-15 and agree and anticoherent == {(48, 28)} and codes == 16215,
+        f"closed form {closed:.1e} relative, {codes} codes, anticoherent at {sorted(anticoherent)}, "
+        f"{elapsed:.2f}s",
     )

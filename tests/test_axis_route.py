@@ -196,12 +196,12 @@ def test_axis_tag_is_not_data():
     assert SpinOperator.from_json_dict(g.to_json_dict()).axis is None
     assert dataclasses.replace(g).axis is None
     with pytest.raises(TypeError):
-        SpinOperator(j, g.matrix, "G", _axis_tag=(axis, g.matrix))
+        SpinOperator(j, g.matrix, "G", _form=(axis, g.matrix))
     # neither the matrix nor the tag can be reassigned, so the tag always describes u.J
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.matrix = build_spin_operators(j).jz.matrix
     with pytest.raises(dataclasses.FrozenInstanceError):
-        g._axis_tag = None
+        g._form = None
     assert g.axis is axis
 
 

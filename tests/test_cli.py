@@ -471,17 +471,24 @@ def test_construct_rejects_bad_support(capsys):
 
 
 def test_oversized_twice_j_is_input_error(capsys):
+    # off the poles the rotation needs the d x d Wigner basis, which is capped
     rc, out, err = run_cli(
-        ["error", "--state", "noon", "--twice-j", "1000000", "--theta", "0.01"], capsys
+        ["error", "--state", "noon", "--twice-j", "1000000", "--axis", "1,1,1", "--theta", "0.01"], capsys
     )
     assert rc == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert "2J <= 4096" in json.loads(lines[0])["error"]
-    # the identity is capped too, before its (2J+1)^2 allocation
+    # about z every route is O(d): the NOON state loses sin^2(J theta)
+    rc, out, err = run_cli(
+        ["error", "--state", "noon", "--twice-j", "1000000", "--axis", "z", "--theta", "0.01"], capsys
+    )
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["error_of_state"] == pytest.approx(math.sin(5e5 * 0.01) ** 2, rel=1e-9)
+    # the identity keeps its band; its matrix is capped, before its (2J+1)^2 allocation
     with pytest.raises(ValueError, match="2J <= 4096"):
-        _named_operator("I", SpinJ(10**6))
+        _named_operator("I", SpinJ(10**6)).matrix
     # the O(d) moment route has no dense limit
     rc, out, _ = run_cli(["qfi", "--state", "noon", "--twice-j", "1000000", "--axis", "z"], capsys)
     assert rc == 0
@@ -563,6 +570,21 @@ def test_unallocatable_twice_j_is_input_error(argv, capsys):
     message = json.loads(lines[0])["error"]
     assert message.startswith("out of memory")
     assert "1000000000000001" in message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("Unable to allocate 8.0 PiB", "out of memory: Unable to allocate 8.0 PiB"), ("", "out of memory")],
+)
+def test_memory_error_after_the_state_loads_is_one_json_error_line(capsys, monkeypatch, text, message):
+    def compute(state, axis):
+        raise MemoryError(text)
+
+    monkeypatch.setattr("spinsense.sensing.rotation_qfi", compute)
+    rc, out, err = run_cli(["qfi", "--state", "noon", "--twice-j", "4", "--axis", "x"], capsys)
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": message}
 
 
 def test_parser_is_cached_but_build_parser_is_fresh():

@@ -28,7 +28,10 @@ from spinsense import (
     noon_state,
     rotation_unitary,
     RotationAxis,
+    axis_generator,
+    tensor_operator,
 )
+from spinsense.spin import _standard_operator
 from helpers import random_hermitian, random_state, random_unitary
 
 J6 = SpinJ(12)
@@ -367,8 +370,8 @@ def _reference_checks(code, errors):
     """Both checks one block at a time, as fitted before the stacked reduction."""
     basis = code.basis_matrix()
     n = len(errors.ops)
-    det = [_per_block_fit(basis.conj().T @ e.matrix @ basis) for e in errors.ops]
     images = [e.matrix @ basis for e in errors.ops]
+    det = [_per_block_fit(basis.conj().T @ image) for image in images]
     kl = [_per_block_fit(images[a].conj().T @ images[b]) for a in range(n) for b in range(n)]
     out = []
     for fits, shape in ((det, (n,)), (kl, (n, n))):
@@ -461,3 +464,85 @@ def test_checks_stack_no_dense_error_matrices():
         finally:
             tracemalloc.stop()
         assert peak < j.dim * j.dim * 16  # one d x d complex matrix
+
+
+def test_recovery_set_checks_the_dense_limit_first():
+    # the operator keeps its band; the d x d sum is refused before it is made
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        RecoverySet([_standard_operator(SpinJ(10**6), "Jz")])
+
+
+def _band_checks(j, code, errors, g, psi, recoveries):
+    """The four checks on band operators, as one tuple of their numbers."""
+    det = detection_check(code, errors, 1e-9)
+    kl = kl_check(code, errors, 1e-9)
+    residual = error_with_recovery(psi, errors, recoveries)
+    # the worst state itself is not compared: at a crossing it is one of many
+    value = max_error_over_code(code, g, 0.05)[1]
+    numbers = []
+    for rep in (det, kl):
+        numbers += [*rep.c_matrix.ravel(), rep.violation, rep.max_off_diagonal, rep.max_diagonal_spread]
+    return np.array([*numbers, residual, value])
+
+
+def _formless(op):
+    return SpinOperator(op.j, op.matrix, op.label)
+
+
+@pytest.mark.parametrize("twice_j", [12, 21, 40])
+def test_checks_on_bands_read_no_matrix_and_equal_the_matrix_route(twice_j):
+    j = SpinJ(twice_j)
+    rng = np.random.default_rng(twice_j)
+    if j.is_integer:
+        code = ae_codewords(j, 3, twice_j // 2)
+    else:
+        code = CodeSpace(j, [SpinState(j, c) for c in random_unitary(j.dim, rng)[:, :3].T])
+    basis = code.basis_matrix()
+    proj = basis @ basis.conj().T
+    recoveries = RecoverySet([SpinOperator(j, proj, "P"), SpinOperator(j, np.eye(j.dim) - proj, "I-P")])
+    mix = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+    psi = SpinState(j, basis @ (mix / np.linalg.norm(mix)))
+    ops = build_spin_operators(j)
+    standard = [getattr(ops, f) for f in ("jx", "jy", "jz", "jplus", "jminus", "jsq")]
+    bands = [_standard_operator(j, "I"), *standard, tensor_operator(j, 2, 1).op, tensor_operator(j, 2, 0).op]
+    generators = (ops.jx, ops.jsq, axis_generator(j, RotationAxis.from_vector(rng.normal(size=3))))
+    got = [_band_checks(j, code, ErrorSet(bands), g, psi, recoveries) for g in generators]
+    assert all("matrix" not in vars(op) for op in (*bands, *generators))
+    # the same operators built from their matrices take the matrix products
+    errors = ErrorSet([_formless(op) for op in bands])
+    scale = j.j * (j.j + 1.0)
+    for g, numbers in zip(generators, got):
+        want = _band_checks(j, code, errors, _formless(g), psi, recoveries)
+        np.testing.assert_allclose(numbers, want, rtol=1e-13, atol=1e-15 * scale**2)
+
+
+def test_an_image_that_overflows_is_rejected():
+    code = ae_codewords(J6, 3, 6)
+    # the image of the codeword on three levels is 1.7e308 times more than 1
+    huge = SpinOperator(J6, np.full((J6.dim, J6.dim), 1.7e308, dtype=complex), "huge")
+    with pytest.raises(ValueError, match="'huge' is too large: Knill-Laflamme products would overflow"):
+        kl_check(code, ErrorSet([build_spin_operators(J6).jz, huge]), 1e-9)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_the_overflow_bound_sits_at_sqrt_max_over_2_over_d(factor):
+    # the largest image entry m is 0.866 s (the |J,0> amplitude of the second
+    # codeword); m <= sqrt(max / 2) / d passes with finite blocks, above it fails
+    code = _ae_code()
+    s = factor * math.sqrt(np.finfo(float).max / 2.0) / J6.dim / math.sqrt(0.75)
+    scaled = SpinOperator(J6, s * np.eye(J6.dim, dtype=complex), "sI")
+    if factor < 1.0:
+        assert np.all(np.isfinite(kl_check(code, ErrorSet([scaled]), 1e-9).c_matrix))
+    else:
+        with pytest.raises(ValueError, match="would overflow"):
+            kl_check(code, ErrorSet([scaled]), 1e-9)
+
+
+def test_a_nan_image_is_rejected(monkeypatch):
+    # NaN compares false with any bound, so the guard must read "not m <= limit"
+    def nan_image(op, x):
+        return np.full(x.shape, np.nan, dtype=complex)
+
+    monkeypatch.setattr("spinsense.codes._apply_block", nan_image)
+    with pytest.raises(ValueError, match="'Jz' is too large: Knill-Laflamme products would overflow"):
+        kl_check(_ae_code(), ErrorSet([build_spin_operators(J6).jz]), 1e-9)

@@ -27,6 +27,7 @@ from spinsense import (
 )
 from spinsense import SupportSpec, axis_generator, RotationAxis
 from spinsense.metrics import _SurvivalModel
+from spinsense.spin import _standard_operator
 from helpers import random_hermitian, random_state, random_unitary
 
 HALF = SpinJ(1)
@@ -345,3 +346,9 @@ def test_first_slope_peak_matches_the_full_scan():
             psi = random_state(j, rng)
         model = _SurvivalModel(psi, axis_generator(j, axis))
         assert model.first_slope_peak() == _full_scan_peak(model), n
+
+
+def test_projector_basis_checks_the_dense_limit_first():
+    # the operator keeps its band; the d x d sum is refused before it is made
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        ProjectorBasis([_standard_operator(SpinJ(10**6), "Jz")])

@@ -141,21 +141,26 @@ def test_non_finite_operator_rejected(bad):
 
 
 def test_dense_operators_refuse_oversized_spin(monkeypatch):
-    # the limit is checked before the (2J+1)^2 allocation, so this is fast
+    # operators above the limit keep their bands and their rotations their
+    # phases; the limit is checked where a (2J+1)^2 array would be made, so this is fast
     j = SpinJ(10**6)
+    ops = build_spin_operators(j)
+    rot = rotation_unitary(j, 0.1, RotationAxis.x())
+    tensor = tensor_operator(j, 2, 1).op
+    assert axis_generator(j, RotationAxis.z()).is_hermitian()
+    for op in (ops.jx, ops.jsq, tensor):
+        with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
+            op.matrix
+    # the off-pole rotation needs the d x d Wigner basis, the eigendecomposition a dense Jx
     with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
-        build_spin_operators(j)
+        rot.is_unitary()
     with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
-        axis_generator(j, RotationAxis.z())
-    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
-        rotation_unitary(j, 0.1, RotationAxis.x())
-    with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
-        tensor_operator(j, 2, 1)
+        generator_unitary(ops.jx, 0.1)
     # the boundary itself, on a lowered limit so that nothing large is built
     monkeypatch.setattr("spinsense.spin.MAX_DENSE_TWICE_J", 8)
     assert build_spin_operators(SpinJ(8)).jz.matrix.shape == (9, 9)
     with pytest.raises(ValueError, match="2J <= 8"):
-        build_spin_operators(SpinJ(9))
+        build_spin_operators(SpinJ(9)).jz.matrix
 
 
 def test_expectation_on_eigenstate():
