@@ -247,12 +247,9 @@ def cmd_error(args) -> int:
         return 0
     g = spin.axis_generator(state.j, _parse_axis(args.axis))
     u = spin.generator_unitary(g, args.theta)
-    _emit(
-        {
-            "error_of_state": codes.error_of_state(state, u),
-            "small_theta_error": codes.error_small_theta(state, g, args.theta),
-        }
-    )
+    # the small-angle form is out of range above SMALL_THETA_MAX; the exact error is not
+    small = None if abs(args.theta) > codes.SMALL_THETA_MAX else codes.error_small_theta(state, g, args.theta)
+    _emit({"error_of_state": codes.error_of_state(state, u), "small_theta_error": small})
     return 0
 
 

@@ -20,6 +20,8 @@ from .spin import (
 )
 
 ORTHONORMAL_TOL = 1e-10
+# the largest |theta| at which the small-angle error theta^2 Var(G) is reported
+SMALL_THETA_MAX = 0.1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden section stops at this width relative to the bracket of the dual
 _DUAL_RTOL = 1e-14
@@ -182,8 +184,8 @@ def error_of_state(psi: SpinState, u: SpinOperator) -> float:
 
 def error_small_theta(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """Small-angle error theta^2 (<G^2> - <G>^2) of exp(-i theta G)."""
-    if not abs(theta) <= 0.1:
-        raise ValueError(f"|theta| must be <= 0.1 for the small-angle form, got {theta!r}")
+    if not abs(theta) <= SMALL_THETA_MAX:
+        raise ValueError(f"|theta| must be <= {SMALL_THETA_MAX} for the small-angle form, got {theta!r}")
     _, var = expectation_and_variance(psi, g)
     return theta * theta * var
 
@@ -224,8 +226,8 @@ def max_error_over_code(
     under Jz) a bare top eigenvector can have zero variance.  The returned
     error is theta^2 times the variance at the returned state.  Deterministic.
     """
-    if not abs(theta) <= 0.1:
-        raise ValueError(f"|theta| must be <= 0.1 for the small-angle form, got {theta!r}")
+    if not abs(theta) <= SMALL_THETA_MAX:
+        raise ValueError(f"|theta| must be <= {SMALL_THETA_MAX} for the small-angle form, got {theta!r}")
     if not g.is_hermitian():
         raise ValueError(f"operator {g.label!r} is not Hermitian")
     if g.j != code.j:

@@ -89,7 +89,9 @@ class ProjectorBasis:
         projs = []
         for s in states:
             v = s.amplitudes
-            projs.append(SpinOperator._owned(s.j, np.outer(v, v.conj()), label="proj"))
+            # capped, before any d x d allocation
+            proj = np.outer(v, v.conj(), out=_banded(s.j.dim, {}))
+            projs.append(SpinOperator._owned(s.j, proj, label="proj"))
         return cls(projs)
 
     @classmethod

@@ -479,36 +479,40 @@ def _wigner_basis(twice_j: int) -> np.ndarray:
     d(beta) = D' cos(beta L) D'^T + T D' sin(beta L) D'^T with
     T = diag(+1 on odd k, -1 on even k).  The column signs of D cancel.
     See Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015).
+
+    S = diag((-1)^k) = -T takes an eigenvector of Jx for lambda to one for
+    -lambda, so column 2J - n is set to S times column n for every
+    lambda_n < 0; the column for lambda = 0 is the one eigh gives.  Then
+    T D' = -D' Pi on every column where sin(beta lambda) is not 0, Pi the
+    column reversal, and d(beta) = D' W D'^T with the orthogonal
+    W = cos(beta L) - Pi sin(beta L) (_wigner_small_d).
     """
     half = _ladder(twice_j) / 2.0
     _, basis = np.linalg.eigh(_banded(twice_j + 1, {1: half, -1: half}, dtype=float))
     basis[2::4] *= -1.0
     basis[3::4] *= -1.0
+    low = (twice_j + 1) // 2  # the columns with lambda < 0
+    basis[:, twice_j + 1 - low :] = basis[:, :low][:, ::-1]
+    basis[1::2, twice_j + 1 - low :] *= -1.0
     return _frozen(basis)
 
 
 def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.ndarray:
     """d(beta) y for a real d x n block y, or the real matrix d(beta) = exp(-i beta Jy)
     itself when y is None, in two real passes over D' (see _wigner_basis):
-    z = D'^T y, then d(beta) y = D' cos(beta L) z + T D' sin(beta L) z.  With y
+    z = D'^T y, then d(beta) y = D' W z, where W pairs n with 2J - n,
+    (W z)_n = cos(beta lambda_n) z_n + sin(beta lambda_n) z_{2J-n}.  With y
     None, z is D'^T itself, and there is no product with the identity.
     """
     basis = _wigner_basis(j.twice_j)
-    # z^T = y^T D': with OpenBLAS on one thread this order takes two thirds of
-    # the time of D'^T y at 2J = 1000 for a d x 2 block
+    # z^T = y^T D' and D' (W z) = ((W z)^T D'^T)^T: with OpenBLAS on one thread
+    # this order takes two thirds of the time of D'^T y at 2J = 1000 for a d x 2 block
     zt = basis if y is None else y.T @ basis
-    n = zt.shape[0]
     # the diagonal of beta L, bit-equal to beta * lambda, in two numpy calls
     angle = np.arange(-j.twice_j, j.twice_j + 1, 2) * (beta / 2.0)
-    scaled = np.empty((j.dim, 2 * n))
-    np.multiply(zt, np.cos(angle), out=scaled.T[:n])
-    np.multiply(zt, np.sin(angle), out=scaled.T[n:])
-    w = basis @ scaled
-    out = w[:, :n]
-    # T = -1 on even rows and +1 on odd ones
-    out[0::2] -= w[0::2, n:]
-    out[1::2] += w[1::2, n:]
-    return out
+    w = zt * np.cos(angle)
+    w += zt[:, ::-1] * np.sin(angle)
+    return (w @ basis.T).T
 
 
 def _is_polar(u: RotationAxis) -> bool:
@@ -517,24 +521,13 @@ def _is_polar(u: RotationAxis) -> bool:
 
 
 @lru_cache(maxsize=4)
-def _basis_certificate(twice_j: int) -> tuple[float, float]:
-    """(||E||_F, ||F||_F) of the cached basis D' of spin J (_wigner_basis):
-    E = D'^T D' - I, and F the part of K = D'^T T D' off the anti-diagonal
-    n + m = 2J, where lambda_n + lambda_m = 0.
-
-    With the rows of D' split by parity into De and Do, D'^T D' = P + Q and
-    K = Q - P for P = De^T De and Q = Do^T Do: one d^3 product in all.  See
-    _RotationForm.unitary_bound for what the two norms bound.
-    """
+def _basis_certificate(twice_j: int) -> float:
+    """||D'^T D' - I||_F of the cached basis D' of spin J (_wigner_basis), from
+    one d^3 product.  See _RotationForm.unitary_bound for what it bounds."""
     basis = _wigner_basis(twice_j)
-    even, odd = basis[0::2], basis[1::2]
-    p = even.T @ even
-    q = odd.T @ odd
-    gram = p + q
+    gram = basis.T @ basis
     gram.flat[:: twice_j + 2] -= 1.0
-    q -= p
-    np.fill_diagonal(q[:, ::-1], 0.0)
-    return float(np.linalg.norm(gram)), float(np.linalg.norm(q))
+    return float(np.linalg.norm(gram))
 
 
 def _phase_defect(phases: np.ndarray) -> float:
@@ -597,22 +590,16 @@ class _RotationForm:
         (_wigner_small_d), as the stored data define it, in O(d) once the
         basis certificate is cached.
 
-        With C = cos(bL), S = sin(bL), E = D'^T D' - I and K = D'^T T D'
-        (T^2 = I),
+        M = D' W D'^T with W orthogonal (_wigner_small_d), so with
+        E = D'^T D' - I,
 
-            M^T M = D' (C (I + E) C + C K S + S K C + S (I + E) S) D'^T
-                  = D' D'^T + D' (CEC + SES + CFS + SFC) D'^T,
+            M^T M - I = (D' D'^T - I) + D' W^T E W D'^T,
 
-        since C^2 + S^2 = I and the anti-diagonal part of K drops out of
-        CKS + SKC: there lambda_n + lambda_m = 0, so
-        C_n S_m + S_n C_m = sin(b (lambda_n + lambda_m)) = 0.  In the spectral
-        norm, CEC + SES = [C S] diag(E, E) [C S]^T and
-        CFS + SFC = [C S] [0 F; F 0] [C S]^T with ||[C S]|| = 1, while
-        ||D'||^2 = ||I + E|| <= 1 + ||E|| and ||D' D'^T - I|| = ||E|| (D' is
-        square).  The Frobenius norms e = ||E||_F and f = ||F||_F
-        (_basis_certificate) bound the spectral ones, so
+        where ||D' D'^T - I|| = ||E|| (D' is square) and ||D'||^2 = ||I + E||
+        <= 1 + ||E||.  The Frobenius norm e = ||E||_F (_basis_certificate)
+        bounds the spectral one, so
 
-            eps_M = ||M^T M - I|| <= e + (1 + e)(e + f),   ||M||^2 <= 1 + eps_M.
+            eps_M = ||M^T M - I|| <= e (2 + e),   ||M||^2 <= 1 + eps_M.
 
         M is real, so with delta_x = max | |D_x|^2 - 1 |, ||D_x||^2 <= 1 + delta_x and
 
@@ -628,8 +615,8 @@ class _RotationForm:
         delta_a = _phase_defect(self.outer)
         if self.inner is None:
             return delta_a
-        e, f = _basis_certificate(self.j.twice_j)
-        eps_m = e + (1.0 + e) * (e + f)
+        e = _basis_certificate(self.j.twice_j)
+        eps_m = e * (2.0 + e)
         delta_c = _phase_defect(self.inner)
         return (1.0 + delta_c) * (eps_m + (1.0 + eps_m) * delta_a) + delta_c
 

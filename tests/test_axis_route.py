@@ -100,6 +100,33 @@ def test_small_d_matches_expm(twice_j):
         assert np.max(np.abs(d - expm(-1j * beta * jy))) <= 1e-13
 
 
+@pytest.mark.parametrize("twice_j", [40, 100, 101])
+def test_small_d_matches_expm_at_larger_spins(twice_j):
+    from scipy.linalg import expm
+
+    j = SpinJ(twice_j)
+    jy = build_spin_operators(j).jy.matrix
+    for beta in (0.7, -2.3):
+        assert np.max(np.abs(_wigner_small_d(j, beta) - expm(-1j * beta * jy))) <= 1e-13
+
+
+@pytest.mark.parametrize("twice_j", list(range(0, 14)) + [100, 101, 400])
+def test_basis_columns_mirror_to_the_bit(twice_j):
+    # S = diag((-1)^k) takes the eigenvector for lambda to one for -lambda
+    basis = _wigner_basis(twice_j)
+    sign = (-1.0) ** np.arange(twice_j + 1)
+    for n in range((twice_j + 1) // 2):
+        assert np.array_equal(basis[:, twice_j - n], sign * basis[:, n])
+
+
+def test_unitary_bound_at_large_spin():
+    # one certificate norm e and eps_M <= e (2 + e): about 2.4e-13 here
+    rng = np.random.default_rng(1000)
+    u = rotation_unitary(SpinJ(1000), 0.7, RotationAxis.from_vector(rng.normal(size=3)))
+    assert u._form.inner is not None  # off the poles
+    assert 0.0 < u._form.unitary_bound() <= 6e-13
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, -1.1, math.pi / 2, 3.0])
 def test_small_d_closed_forms(beta):
     # rows m' and columns m in the order J, ..., -J
@@ -293,8 +320,9 @@ def test_axis_route_at_large_spin_matches_the_moments(twice_j):
 
 @pytest.mark.parametrize("twice_j", [100, 101, 400])
 def test_small_d_matches_one_full_product(twice_j):
-    # odd and even d: the two passes with T on the output rows give every row
-    # of the product with T folded into the rows of D'
+    # odd and even d: the mirrored-column form D' W D'^T gives every entry of
+    # the independent form D' cos(bL) D'^T + T D' sin(bL) D'^T, with T folded
+    # into the rows of D'
     j = SpinJ(twice_j)
     basis = _wigner_basis(twice_j)
     lam = j.m_values()[::-1]

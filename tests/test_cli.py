@@ -158,6 +158,18 @@ def test_error_subcommand_noon(capsys):
     assert doc["small_theta_error"] == pytest.approx(0.04, rel=1e-12)
 
 
+def test_error_above_the_small_angle_range_prints_a_null_small_angle_field(capsys):
+    rc, out, err = run_cli(
+        ["error", "--state", "noon", "--twice-j", "4", "--axis", "z", "--theta", "0.5"], capsys
+    )
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    # NOON at 2J = 4 about z: |<psi|U|psi>| = |cos(2 theta)|, exact at any angle
+    assert doc["error_of_state"] == pytest.approx(math.sin(1.0) ** 2, abs=1e-12)
+    assert doc["small_theta_error"] is None
+    assert '"small_theta_error":null' in out
+
+
 def test_fisher_matrix_subcommand(capsys):
     rc, out, _ = run_cli(["fisher-matrix", "--state", "noon", "--twice-j", "10"], capsys)
     assert rc == 0

@@ -320,6 +320,12 @@ def test_two_outcome_basis_respects_the_dense_limit():
         ProjectorBasis.two_outcome(noon_state(SpinJ(10**6)))
 
 
+def test_projectors_from_states_respect_the_dense_limit():
+    # checked before the first outer product, which would need 14.6 TiB here
+    with pytest.raises(ValueError, match="2J <= 4096"):
+        ProjectorBasis.from_states([basis_state(SpinJ(10**6), 10**6)])
+
+
 def _full_scan_peak(model: _SurvivalModel) -> float:
     """The first fall of |dP/dtheta| over the whole 4095-angle grid at once."""
     spread = float(model.evals.max() - model.evals.min())

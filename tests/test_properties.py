@@ -1,4 +1,7 @@
-"""Property tests over small spins (2J <= 12), drawn deterministically."""
+"""Property tests over small spins (2J <= 12, and 2J <= 40 for codes), drawn
+deterministically."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +15,18 @@ from spinsense import (
     RotationAxis,
     SpinJ,
     SpinState,
+    ae_codewords,
     axis_generator,
     build_spin_operators,
+    detection_check,
     distinguishability,
     error_of_state,
     estimate_theta,
+    expectation_and_variance,
     fisher_matrix,
     generator_unitary,
     kl_check,
+    max_error_over_code,
     qfi,
     qfi_finite_difference,
     rotation_qfi,
@@ -118,3 +125,39 @@ def test_kl_violation_is_invariant_under_codeword_phases(twice_j, seed, k):
     a = kl_check(plain, errors, 1e-9).violation
     b = kl_check(phased, errors, 1e-9).violation
     assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+
+@SMALL
+@given(st.integers(6, 20), seeds, st.floats(-9.0, -1.0))
+def test_near_kl_code_moves_the_sensing_side_by_a_bounded_amount(half_dim, seed, log_eps):
+    # With B the codeword basis, k its size and G = u . J, the checks give
+    # B^dag J_a J_b B = C_ab I + Delta_ab with |entries of Delta_ab| <= nu_KL, and
+    # B^dag J_a B = f_a I + delta_a with |entries of delta_a| <= nu_det.  For a unit
+    # c, <G^2> = s + c^dag Delta c and <G> = f + c^dag delta c, where the entries of
+    # Delta = sum u_a u_b Delta_ab are at most (sum |u_a|)^2 nu_KL <= 3 nu_KL and
+    # those of delta = sum u_a delta_a at most sqrt(3) nu_det.  A k x k norm is at
+    # most k times the largest entry, and |f| <= ||G|| = J, so
+    # |Var_c(G) - (s - f^2)| <= 3 k nu_KL + 2 sqrt(3) J k nu_det + 3 k^2 nu_det^2.
+    rng = np.random.default_rng(seed)
+    j = SpinJ(2 * half_dim)
+    m1 = int(rng.integers(3, half_dim - 2))
+    exact = ae_codewords(j, m1, int(rng.integers(m1 + 3, half_dim + 1))).basis_matrix()
+    noise = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    basis, _ = np.linalg.qr(exact + 10.0**log_eps * noise / np.linalg.norm(noise))
+    k = basis.shape[1]
+    code = CodeSpace(j, [SpinState(j, basis[:, i]) for i in range(k)])
+    ops = build_spin_operators(j)
+    errors = ErrorSet([ops.jx, ops.jy, ops.jz])
+    kl, det = kl_check(code, errors, 1.0), detection_check(code, errors, 1.0)
+    u = _axis(rng)
+    g = axis_generator(j, u)
+    s = float(np.real(u.u @ kl.c_matrix @ u.u))
+    f = float(np.real(u.u @ det.c_matrix))
+    nu_kl, nu_det = kl.violation, det.violation
+    bound = 3 * k * nu_kl + 2 * math.sqrt(3.0) * j.j * k * nu_det + 3 * k * k * nu_det**2
+    draws = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
+    states = [SpinState(j, basis @ (c / np.linalg.norm(c))) for c in draws]
+    states += list(code.codewords) + [max_error_over_code(code, g, 0.1)[0]]
+    for psi in states:
+        _, var = expectation_and_variance(psi, g)
+        assert abs(var - (s - f * f)) <= bound
