@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -367,12 +367,17 @@ def _ladder(twice_j: int) -> np.ndarray:
     return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
 
 
-def _banded(dim: int, bands: dict, dtype=complex) -> np.ndarray:
-    """Dense dim x dim matrix (complex by default, 2J <= MAX_DENSE_TWICE_J checked first) with
-    bands[q] on the entries (i, i + q); a band holds dim - |q| values, or one scalar for all of them."""
-    if dim - 1 > MAX_DENSE_TWICE_J:
-        raise ValueError(f"2J = {dim - 1} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
-    mat = np.zeros((dim, dim), dtype=dtype)
+def _check_dense_limit(twice_j: int) -> None:
+    """Raise before a d x d array is allocated above 2J = MAX_DENSE_TWICE_J."""
+    if twice_j > MAX_DENSE_TWICE_J:
+        raise ValueError(f"2J = {twice_j} exceeds the dense-matrix limit 2J <= {MAX_DENSE_TWICE_J}")
+
+
+def _banded(dim: int, bands: dict) -> np.ndarray:
+    """Dense complex dim x dim matrix (2J <= MAX_DENSE_TWICE_J checked first) with bands[q]
+    on the entries (i, i + q); a band holds dim - |q| values, or one scalar for all of them."""
+    _check_dense_limit(dim - 1)
+    mat = np.zeros((dim, dim), dtype=complex)
     flat = mat.reshape(-1)
     for q, values in bands.items():
         if q >= 0:
@@ -443,15 +448,19 @@ class _BandForm:
 
     def hermitian_defect(self) -> tuple[float, float]:
         """_hermitian_defect of the dense matrix, to the bit, in O(d): band q >= 0
-        of M - M^dag is b_q - conj(b_-q) (a missing band is 0), band -q holds the
-        same moduli, and every other entry is 0."""
+        of M - M^dag is b_q - conj(b_-q) (a missing band is 0, so its entries
+        are |b_q| themselves), band -q holds the same moduli, and every other
+        entry is 0; so is a real diagonal minus its conjugate."""
         defect = size = 0.0
         for q, band in self.bands.items():
-            size = max(size, float(np.max(np.abs(band), initial=0.0)))
-            if q >= 0 or -q not in self.bands:
-                diff = band - np.conj(self.bands.get(-q, 0.0))
-                defect = max(defect, float(np.max(np.abs(diff), initial=0.0)))
-        return defect, size
+            big = np.abs(band).max(initial=0.0)
+            size = max(size, big)
+            partner = self.bands.get(-q)
+            if partner is None:
+                defect = max(defect, big)
+            elif q > 0 or (q == 0 and np.iscomplexobj(band)):
+                defect = max(defect, np.abs(band - partner.conj()).max(initial=0.0))
+        return float(defect), float(size)
 
 
 def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
@@ -468,51 +477,188 @@ def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     return SpinOperator._from_form(j, _BandForm(j.dim, bands, u), f"u.J[{ux:g},{uy:g},{uz:g}]")
 
 
-@lru_cache(maxsize=4)
-def _wigner_basis(twice_j: int) -> np.ndarray:
-    """The real orthogonal basis D' = R D of the Wigner d-matrices of spin J.
+# The largest 2J at which _wigner_small_d multiplies a block by the unfolded
+# basis; above it, by the folded quarter.  Below about this size the fold's
+# fixed cost of about twenty numpy calls outweighs the reads it saves: a d x 2
+# block on one BLAS thread took 27 us folded against 17 us unfolded at
+# 2J = 150, 40 against 41 us at 300, 50 against 67 us at 400.
+_UNFOLDED_MAX_TWICE_J = 300
+# a column of the recurrence is scaled by 2**-300 once it passes 2**300
+_RESCALE = 2.0**300
 
-    D holds the eigenvectors of the real tridiagonal Jx, eigenvalues -J, ..., J
-    ascending, and R = diag((-1)^floor(k/2)).  Jy = P Jx P^dag with
-    P = diag(i^k), so d(beta) = exp(-i beta Jy) = P D exp(-i beta L) D^T P^dag
-    with L = diag(-J, ..., J); by parity its entries are real, and
-    d(beta) = D' cos(beta L) D'^T + T D' sin(beta L) D'^T with
-    T = diag(+1 on odd k, -1 on even k).  The column signs of D cancel.
-    See Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015).
 
-    S = diag((-1)^k) = -T takes an eigenvector of Jx for lambda to one for
-    -lambda, so column 2J - n is set to S times column n for every
-    lambda_n < 0; the column for lambda = 0 is the one eigh gives.  Then
-    T D' = -D' Pi on every column where sin(beta lambda) is not 0, Pi the
-    column reversal, and d(beta) = D' W D'^T with the orthogonal
-    W = cos(beta L) - Pi sin(beta L) (_wigner_small_d).
+class _WignerBasis(NamedTuple):
+    """The real orthogonal basis D' = R D of the Wigner d-matrices of spin J,
+    kept as its independent quarter (_wigner_basis); every array is frozen.
+
+    `q` is 2 x t x h': q[0] holds the top t = ceil(d/2) rows of the columns
+    with lambda_n <= 0 and sigma_n = +1, q[1] those with sigma_n = -1, in
+    ascending n, the shorter one padded with a zero column.  `fold` holds
+    the signs that fold a d x k block onto the top rows and unfold it again,
+    `twice_lam` the 2 lambda_n of each column, and `weight` 1, or 1/2 for
+    the lambda = 0 column, which is its own image.  `full` is the unfolded
+    d x d basis, built from q, up to 2J = _UNFOLDED_MAX_TWICE_J, and None above.
     """
-    half = _ladder(twice_j) / 2.0
-    _, basis = np.linalg.eigh(_banded(twice_j + 1, {1: half, -1: half}, dtype=float))
-    basis[2::4] *= -1.0
-    basis[3::4] *= -1.0
-    low = (twice_j + 1) // 2  # the columns with lambda < 0
-    basis[:, twice_j + 1 - low :] = basis[:, :low][:, ::-1]
-    basis[1::2, twice_j + 1 - low :] *= -1.0
-    return _frozen(basis)
+
+    q: np.ndarray
+    fold: np.ndarray
+    twice_lam: np.ndarray
+    weight: np.ndarray
+    full: np.ndarray | None = None
+
+
+def _parity_columns(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns n < ceil(d/2) with sigma_n = (-1)^(2J - n) = +1, and those with -1."""
+    n = np.arange(twice_j // 2 + 1)
+    return n[twice_j % 2 :: 2], n[1 - twice_j % 2 :: 2]
+
+
+def _row_counts(twice_j: int) -> np.ndarray:
+    """How many rows of D' each of its top ceil(d/2) rows stands for: 2, or 1 for the centre row."""
+    counts = np.full(twice_j // 2 + 1, 2.0)
+    counts[(twice_j + 1) // 2 :] = 1.0
+    return counts
+
+
+def _unfolded(twice_j: int, basis: _WignerBasis) -> np.ndarray:
+    """The d x d basis D' from its quarter (_WignerBasis), by exact sign flips:
+    row d-1-i of column n is rho_i sigma_n times row i, rho_i = R_i R_{d-1-i},
+    and column 2J - n is S = diag((-1)^k) times column n."""
+    dim, top, low = twice_j + 1, twice_j // 2 + 1, (twice_j + 1) // 2
+    out = np.empty((dim, dim))
+    sigma = np.empty(top)
+    for c, n in enumerate(_parity_columns(twice_j)):
+        out[:top, n] = basis.q[c, :, : len(n)]
+        sigma[n] = 1.0 - 2.0 * c
+    rho = basis.fold[1, 0, 0, 0, :low]
+    out[top:, :top] = (out[:low, :top] * np.multiply.outer(rho, sigma))[::-1]
+    out[:, top:] = out[:, :low][:, ::-1] * np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
+    return out
+
+
+@lru_cache(maxsize=4)
+def _wigner_basis(twice_j: int) -> _WignerBasis:
+    """The real orthogonal basis D' = R D of the Wigner d-matrices of spin J,
+    as its independent quarter (_WignerBasis).
+
+    D holds the eigenvectors of the real tridiagonal Jx, eigenvalues
+    lambda_n = n - J ascending, and R = diag((-1)^floor(k/2)).  Jy = P Jx P^dag
+    with P = diag(i^k), so d(beta) = exp(-i beta Jy) = P D exp(-i beta L) D^T P^dag
+    with L = diag(-J, ..., J); by parity its entries are real.  See Feng,
+    Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015).
+
+    Each eigenvector follows from the three-term recurrence of Jx (Schulten
+    & Gordon, J. Math. Phys. 16, 1961 (1975)): x_0 = 1, x_1 = lambda / e_0
+    and e_{k-1} x_{k-1} + e_k x_{k+1} = lambda x_k, with e_k = c_k / 2.  It
+    runs from row 0 to the centre, for all columns at once; from the edge
+    the solution grows, so this direction is stable.  A column that passes
+    2^300 is scaled by 2^-300, exactly, short of edge entries that may
+    underflow.  Jx commutes with the row reversal, so row d-1-k of column n
+    is sigma_n = (-1)^(2J-n) times row k of D; at odd d the centre entry of
+    a sigma_n = -1 column is 0, and it is set so.  S = diag((-1)^k) takes an
+    eigenvector of R Jx R for lambda to one for -lambda, so column 2J - n is
+    S times column n.  The columns are normalized with the mirrored rows
+    counted, and D' follows from its top ceil(d/2) rows of the columns with
+    lambda <= 0 by exact sign flips (_unfolded).
+    """
+    _check_dense_limit(twice_j)
+    dim, top, low = twice_j + 1, twice_j // 2 + 1, (twice_j + 1) // 2
+    e = _ladder(twice_j) / 2.0
+    lam = np.arange(top) - twice_j / 2.0
+    x = np.empty((top, top))
+    x[0] = 1.0
+    if top > 1:
+        x[1] = lam / e[0]
+    for k in range(1, top - 1):
+        row = np.multiply(lam, x[k], out=x[k + 1])
+        row -= e[k - 1] * x[k - 1]
+        row /= e[k]
+        if np.abs(row).max() > _RESCALE:
+            x[: k + 2, np.abs(row) > _RESCALE] *= 1.0 / _RESCALE
+    columns = _parity_columns(twice_j)
+    if dim % 2:
+        x[-1, columns[1]] = 0.0
+    x /= np.sqrt(_row_counts(twice_j) @ (x * x))
+    x[2::4] *= -1.0
+    x[3::4] *= -1.0
+
+    width = (top + 1) // 2
+    q = np.zeros((2, top, width))
+    twice_lam = np.zeros((2, width, 1))
+    weight = np.ones((2, width, 1))
+    for c, n in enumerate(columns):
+        q[c, :, : len(n)] = x[:, n]
+        twice_lam[c, : len(n), 0] = 2 * n - twice_j
+        # the lambda = 0 column is its own image, S x = x to the bit (x_k = 0 at
+        # odd k, since x_1 = 0 / e_0): the fold reads it twice, at half weight
+        weight[c, : len(n), 0] = np.where(2 * n == twice_j, 0.5, 1.0)
+    # fold[0] and fold[1] scale the top rows and the reversed bottom rows of a
+    # block into the inputs of q[c]^T for the columns n (part 0) and their
+    # images 2J - n (part 1); the unfold takes back the same signs
+    sign = np.where(np.arange(top) % 2, -1.0, 1.0)
+    row = np.arange(top)
+    rho = np.where((row // 2 + (dim - 1 - row) // 2) % 2, -1.0, 1.0)
+    rho[low:] = 0.0  # the centre row is read once, from the top
+    parity = 1.0 if dim % 2 else -1.0  # S of the reversed rows: (-1)^(d-1) S
+    fold = np.empty((2, 2, 2, 1, top))
+    fold[0, :, 0, 0] = 1.0
+    fold[0, :, 1, 0] = sign
+    fold[1, 0, 0, 0] = rho
+    fold[1, 1, 0, 0] = -rho
+    fold[1, 0, 1, 0] = parity * sign * rho
+    fold[1, 1, 1, 0] = -parity * sign * rho
+
+    basis = _WignerBasis(*map(_frozen, (q, fold, twice_lam, weight)))
+    if twice_j > _UNFOLDED_MAX_TWICE_J:
+        return basis
+    return basis._replace(full=_frozen(_unfolded(twice_j, basis)))
 
 
 def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.ndarray:
     """d(beta) y for a real d x n block y, or the real matrix d(beta) = exp(-i beta Jy)
-    itself when y is None, in two real passes over D' (see _wigner_basis):
-    z = D'^T y, then d(beta) y = D' W z, where W pairs n with 2J - n,
-    (W z)_n = cos(beta lambda_n) z_n + sin(beta lambda_n) z_{2J-n}.  With y
-    None, z is D'^T itself, and there is no product with the identity.
+    itself when y is None, as D' W D'^T (see _wigner_basis): z = D'^T y, then
+    d(beta) y = D' W z, where W pairs n with 2J - n,
+    (W z)_n = cos(beta lambda_n) z_n + sin(beta lambda_n) z_{2J-n}.  W is
+    orthogonal, since column 2J - n of D' is S times column n.
+
+    Up to 2J = _UNFOLDED_MAX_TWICE_J, and for the matrix, the two passes read the
+    unfolded D'; with y None, z is D'^T itself, and there is no product with
+    the identity.  Above, a block is folded onto the top t rows,
+    u+- = y_top +- rho y_bottom (y_bottom in reversed row order, rho_i =
+    R_i R_{d-1-i}), and the two passes read the quarter q (_WignerBasis):
+    z_n = q_n^T u_sigma_n, and for the image 2J - n, S u+- folds to s u+-
+    at odd d and to s u-+ at even d.  The unfold is the transpose of the fold.
     """
     basis = _wigner_basis(j.twice_j)
-    # z^T = y^T D' and D' (W z) = ((W z)^T D'^T)^T: with OpenBLAS on one thread
-    # this order takes two thirds of the time of D'^T y at 2J = 1000 for a d x 2 block
-    zt = basis if y is None else y.T @ basis
-    # the diagonal of beta L, bit-equal to beta * lambda, in two numpy calls
-    angle = np.arange(-j.twice_j, j.twice_j + 1, 2) * (beta / 2.0)
-    w = zt * np.cos(angle)
-    w += zt[:, ::-1] * np.sin(angle)
-    return (w @ basis.T).T
+    full = basis.full
+    if y is None or full is not None:
+        if full is None:
+            full = _unfolded(j.twice_j, basis)
+        # z^T = y^T D' and D' (W z) = ((W z)^T D'^T)^T: with OpenBLAS on one thread
+        # this order takes two thirds of the time of D'^T y at 2J = 1000 for a d x 2 block
+        zt = full if y is None else y.T @ full
+        # the diagonal of beta L, bit-equal to beta * lambda, in two numpy calls
+        angle = np.arange(-j.twice_j, j.twice_j + 1, 2) * (beta / 2.0)
+        w = zt * np.cos(angle)
+        w += zt[:, ::-1] * np.sin(angle)
+        return (w @ full.T).T
+    q, fold = basis.q, basis.fold
+    top, width = q.shape[1], q.shape[2]
+    # the elementwise steps run with the row index innermost, the products with
+    # (column of y, n or 2J - n) innermost: OpenBLAS on one thread ran q (W z)
+    # in that layout in about 40 % of the time of the transposed one at
+    # 2J = 1000, and z_n and z_{2J-n} side by side are one complex number
+    yt = y.T.copy()
+    # the folded inputs, parity c by part (n or 2J - n) by column of y by row
+    g = fold[0] * yt[:, :top]
+    g += fold[1] * yt[:, : -top - 1 : -1]
+    z = q.transpose(0, 2, 1) @ np.ascontiguousarray(g.transpose(0, 3, 2, 1)).reshape(2, top, -1)
+    # W turns each pair (z_n, z_{2J-n}) by beta lambda_n: z_n + i z_{2J-n} times e^{-i beta lambda_n}
+    w = z.view(complex) * (np.exp(basis.twice_lam * (-0.5j * beta)) * basis.weight)
+    r = np.ascontiguousarray((q @ w.view(float)).reshape(2, top, -1, 2).transpose(0, 3, 2, 1))
+    # the unfold: top rows (s = 0) and reversed bottom rows (s = 1)
+    out = np.einsum("scpkt,cpkt->skt", fold, r)
+    return np.concatenate((out[0], out[1, :, (j.dim - top) - 1 :: -1]), axis=1).T
 
 
 def _is_polar(u: RotationAxis) -> bool:
@@ -522,12 +668,37 @@ def _is_polar(u: RotationAxis) -> bool:
 
 @lru_cache(maxsize=4)
 def _basis_certificate(twice_j: int) -> float:
-    """||D'^T D' - I||_F of the cached basis D' of spin J (_wigner_basis), from
-    one d^3 product.  See _RotationForm.unitary_bound for what it bounds."""
+    """e = ||D'^T D' - I||_F of the cached basis D' of spin J (_wigner_basis),
+    from Gram products of its quarter q, with no d x d array.  See
+    _RotationForm.unitary_bound for what it bounds.
+
+    With w = 2 on the mirrored rows and 1 on the centre row, the inner
+    product of columns n and m of D' is q_n^T diag(w) q_m when sigma_n =
+    sigma_m and 0 otherwise, since the centre entry of a sigma = -1 column is
+    0; the images S q_n have the same products among themselves.  Between a
+    column and an image it is q_n^T diag(w s) q_m, s = (-1)^k, between columns
+    of the same parity at odd d and of opposite parity at even d, and 0
+    otherwise.  The lambda = 0 column has no image of its own.
+    """
     basis = _wigner_basis(twice_j)
-    gram = basis.T @ basis
-    gram.flat[:: twice_j + 2] -= 1.0
-    return float(np.linalg.norm(gram))
+    q = basis.q
+    wq = q * _row_counts(twice_j)[:, None]
+    # q^T diag(w) q over the rows where s = +1 and where s = -1: their sum is the
+    # Gram of each parity, their difference the same-parity block with diag(w s)
+    plus = q[:, 0::2].transpose(0, 2, 1) @ wq[:, 0::2]
+    minus = q[:, 1::2].transpose(0, 2, 1) @ wq[:, 1::2]
+    gram = plus + minus
+    for c, n in enumerate(_parity_columns(twice_j)):
+        gram[c, range(len(n)), range(len(n))] -= 1.0
+    if twice_j % 2:
+        cross = q[0, 0::2].T @ wq[1, 0::2] - q[0, 1::2].T @ wq[1, 1::2]
+        return math.sqrt(2.0 * np.sum(gram * gram) + 4.0 * np.sum(cross * cross))
+    cross = plus - minus
+    # the lambda = 0 column, the one of weight 1/2, enters no block with an image of its own
+    imaged = basis.weight[:, :, 0] == 1.0
+    pairs = gram * imaged[:, :, None] * imaged[:, None, :]
+    cross *= imaged[:, None, :]
+    return math.sqrt(np.sum(gram * gram) + np.sum(pairs * pairs) + 2.0 * np.sum(cross * cross))
 
 
 def _phase_defect(phases: np.ndarray) -> float:

@@ -27,8 +27,12 @@ from spinsense import (
 )
 from spinsense.metrics import _SurvivalModel
 from spinsense.spin import (
+    _UNFOLDED_MAX_TWICE_J,
     _axis_spectrum,
+    _basis_certificate,
     _hermitian_defect,
+    _ladder,
+    _unfolded,
     _wigner_basis,
     _wigner_small_d,
     spin_moments,
@@ -40,6 +44,32 @@ def _untagged(g: SpinOperator) -> SpinOperator:
     plain = SpinOperator(g.j, g.matrix, g.label)
     assert plain.axis is None
     return plain
+
+
+def _unfold(twice_j: int) -> np.ndarray:
+    """The d x d basis D' unfolded from the stored quarter by the two symmetries,
+    written out entry by entry: row k >= t of column n is R_k R_{d-1-k} sigma_n
+    times row d-1-k, and column 2J - n is S = diag((-1)^k) times column n."""
+    basis = _wigner_basis(twice_j)
+    dim, top = twice_j + 1, twice_j // 2 + 1
+    n = np.arange(top)
+    sigma = (-1.0) ** (twice_j - n)
+    r = (-1.0) ** (np.arange(dim) // 2)
+    d = np.empty((dim, dim))
+    for c, cols in enumerate((n[sigma > 0], n[sigma < 0])):
+        d[:top, cols] = basis.q[c, :, : len(cols)]
+    for k in range(top, dim):
+        d[k, :top] = r[k] * r[dim - 1 - k] * sigma * d[dim - 1 - k, :top]
+    for m in range(top):
+        d[:, twice_j - m] = (-1.0) ** np.arange(dim) * d[:, m]
+    return d
+
+
+def _eigh_basis(twice_j: int) -> np.ndarray:
+    """The reference D' = R D from a dense eigh of the real tridiagonal Jx."""
+    half = _ladder(twice_j) / 2.0
+    _, d = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+    return d * ((-1.0) ** (np.arange(twice_j + 1) // 2))[:, None]
 
 
 def _eigh_spectrum(psi, g):
@@ -112,11 +142,35 @@ def test_small_d_matches_expm_at_larger_spins(twice_j):
 
 @pytest.mark.parametrize("twice_j", list(range(0, 14)) + [100, 101, 400])
 def test_basis_columns_mirror_to_the_bit(twice_j):
-    # S = diag((-1)^k) takes the eigenvector for lambda to one for -lambda
+    # the library's unfolded basis is the entry-by-entry unfolding, to the bit,
+    # so the mirror (S = diag((-1)^k) takes the eigenvector for lambda to one for
+    # -lambda) and the row parity hold exactly; and every column of it, mirrored
+    # rows and images included, is an eigenvector of R Jx R for its lambda
     basis = _wigner_basis(twice_j)
-    sign = (-1.0) ** np.arange(twice_j + 1)
-    for n in range((twice_j + 1) // 2):
-        assert np.array_equal(basis[:, twice_j - n], sign * basis[:, n])
+    d = _unfold(twice_j)
+    assert np.array_equal(_unfolded(twice_j, basis), d)
+    assert basis.full is None or np.array_equal(basis.full, d)
+    dim, top = twice_j + 1, twice_j // 2 + 1
+    sign = (-1.0) ** np.arange(dim)
+    for n in range(dim // 2):
+        assert np.array_equal(d[:, twice_j - n], sign * d[:, n])
+    r = (-1.0) ** (np.arange(dim) // 2)
+    half = r[:-1] * r[1:] * _ladder(twice_j) / 2.0
+    rjr = np.diag(half, 1) + np.diag(half, -1)
+    lam = np.arange(dim) - twice_j / 2.0
+    assert np.max(np.abs(rjr @ d - d * lam)) <= 1e-13 * max(1.0, twice_j)
+    if dim % 2:
+        # the centre entry of a sigma = -1 column is 0, exactly
+        assert not np.any(basis.q[1, top - 1])
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 10, 11, 100, 101, 400, 1000])
+def test_basis_matches_a_dense_eigh_reference(twice_j):
+    d = _unfold(twice_j)
+    ref = _eigh_basis(twice_j)
+    aligned = ref * np.sign(np.sum(ref * d, axis=0))
+    assert np.max(np.abs(aligned - d)) <= 1e-13
+    assert np.max(np.abs(d.T @ d - np.eye(twice_j + 1))) <= 1e-13
 
 
 def test_unitary_bound_at_large_spin():
@@ -193,20 +247,52 @@ def test_axis_route_runs_no_complex_eigh(monkeypatch):
     rotation_unitary(j, 0.3, RotationAxis.x())
     qfi_finite_difference(psi, g, 1e-4)
     _SurvivalModel(psi, axis_generator(j, RotationAxis.z())).first_slope_peak()
-    assert seen == [np.dtype(float)]  # the one real basis, built once and cached
+    assert seen == []  # the basis comes from its recurrence, with no eigh at all
     with pytest.raises(AssertionError, match="complex eigh"):
         generator_unitary(_untagged(g), 0.3)
 
 
 def test_wigner_basis_is_cached_capped_and_frozen():
     assert _wigner_basis.cache_info().maxsize >= 4
-    basis = _wigner_basis(6)
-    assert _wigner_basis(6) is basis
-    assert not basis.flags.writeable
-    assert np.max(np.abs(basis.T @ basis - np.eye(7))) <= 1e-14
-    # the dense limit is checked before the (2J+1)^2 allocation, so this is fast
-    with pytest.raises(ValueError, match="2J <= 4096"):
-        _wigner_basis(10**6)
+    for twice_j in (6, 401):
+        basis = _wigner_basis(twice_j)
+        assert _wigner_basis(twice_j) is basis
+        stored = [basis.q, basis.fold, basis.twice_lam, basis.weight]
+        # the unfolded basis is kept only where the kernel reads it
+        assert (basis.full is None) == (twice_j > _UNFOLDED_MAX_TWICE_J)
+        for a in stored + ([] if basis.full is None else [basis.full]):
+            assert not a.flags.writeable
+        # the quarter: top ceil(d/2) rows of the ceil(d/2) columns with lambda <= 0
+        assert basis.q.shape == (2, twice_j // 2 + 1, (twice_j // 2 + 2) // 2)
+        d = _unfold(twice_j)
+        assert np.max(np.abs(d.T @ d - np.eye(twice_j + 1))) <= 1e-14
+    # the dense limit is checked before anything is allocated, so this is fast
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2J <= 4096"):
+            _wigner_basis(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def test_wigner_basis_at_the_cap():
+    # 2J = 4096: the edge entries of a column are about 2^-J of its largest,
+    # so the recurrence rescales; every stored entry stays finite, the
+    # certificate stays small and an off-pole rotation passes is_unitary
+    j = SpinJ(4096)
+    try:
+        basis = _wigner_basis(j.twice_j)
+        assert np.all(np.isfinite(basis.q))
+        assert _basis_certificate(j.twice_j) <= 1e-12
+        u = rotation_unitary(j, 0.0001, RotationAxis.from_vector([1.0, 1.0, 1.0]))
+        assert u._form.inner is not None and u.is_unitary()
+        psi = random_state(j, np.random.default_rng(4096))
+        assert abs(np.linalg.norm(apply(u, psi)) - 1.0) <= 1e-12
+    finally:
+        _wigner_basis.cache_clear()
+        _basis_certificate.cache_clear()
 
 
 def test_axis_tag_is_not_data():
@@ -318,21 +404,25 @@ def test_axis_route_at_large_spin_matches_the_moments(twice_j):
         assert abs(amp - want[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("twice_j", [100, 101, 400])
+@pytest.mark.parametrize("twice_j", [100, 101, 400, 401])
 def test_small_d_matches_one_full_product(twice_j):
-    # odd and even d: the mirrored-column form D' W D'^T gives every entry of
-    # the independent form D' cos(bL) D'^T + T D' sin(bL) D'^T, with T folded
-    # into the rows of D'
+    # odd and even d, on both sides of the fold: the mirrored-column form
+    # D' W D'^T gives every entry of the independent form
+    # D' cos(bL) D'^T + T D' sin(bL) D'^T, with T folded into the rows of D',
+    # for the matrix and for a block
     j = SpinJ(twice_j)
-    basis = _wigner_basis(twice_j)
+    assert (_wigner_basis(twice_j).full is None) == (twice_j > _UNFOLDED_MAX_TWICE_J)
+    basis = _unfold(twice_j)
     lam = j.m_values()[::-1]
     odd = np.arange(j.dim) % 2 == 1
+    y = np.random.default_rng(twice_j).normal(size=(j.dim, 4))
     for beta in (0.3, -1.7, math.pi):
         d = _wigner_small_d(j, beta)
         assert np.max(np.abs(d.T @ d - np.eye(j.dim))) <= 1e-12
         c, s = np.cos(beta * lam), np.sin(beta * lam)
         full = (basis * np.where(odd[:, None], c + s, c - s)) @ basis.T
         assert np.max(np.abs(d - full)) <= 1e-12
+        assert np.max(np.abs(_wigner_small_d(j, beta, y) - full @ y)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [63, 64, 65, 129])

@@ -33,6 +33,7 @@ from spinsense.spin import (
     _hermitian_defect,
     _ladder,
     _standard_operator,
+    _unfolded,
     _wigner_basis,
     _wigner_small_d,
 )
@@ -91,27 +92,31 @@ def test_forms_agree_with_their_dense_matrices(twice_j, seed, theta, kind):
 
 
 def test_a_corrupted_basis_fails_the_unitary_check():
-    twice_j = 40
-    j = SpinJ(twice_j)
-    psi = random_state(j, np.random.default_rng(4))
-    axis = RotationAxis.from_vector([0.3, -0.5, 0.8])
-    assert 0.0 < error_of_state(psi, rotation_unitary(j, 0.3, axis)) < 1.0
-    _wigner_basis.cache_clear()
-    _basis_certificate.cache_clear()
-    try:
-        basis = _wigner_basis(twice_j)
-        basis.setflags(write=True)
-        basis[:, 7] *= 1.0 + 1e-9
-        basis.setflags(write=False)
-        bent = rotation_unitary(j, 0.3, axis)
-        with pytest.raises(ValueError, match="not unitary"):
-            error_of_state(psi, bent)
-        # the dense check on the matrix built from the same basis agrees
-        assert not SpinOperator(j, bent.matrix, "bent").is_unitary()
-    finally:
+    # one stored column of the quarter q off by 1e-9, below the fold (where the
+    # kernel reads the unfolded basis, rebuilt here from the bent q) and above it
+    for twice_j in (40, 400):
+        j = SpinJ(twice_j)
+        psi = random_state(j, np.random.default_rng(4))
+        axis = RotationAxis.from_vector([0.3, -0.5, 0.8])
+        assert 0.0 < error_of_state(psi, rotation_unitary(j, 0.3, axis)) < 1.0
         _wigner_basis.cache_clear()
         _basis_certificate.cache_clear()
-    assert rotation_unitary(j, 0.3, axis).is_unitary()
+        try:
+            basis = _wigner_basis(twice_j)
+            basis.q.setflags(write=True)
+            basis.q[0, :, 3] *= 1.0 + 1e-9
+            if basis.full is not None:
+                basis.full.setflags(write=True)
+                basis.full[:] = _unfolded(twice_j, basis)
+            bent = rotation_unitary(j, 0.3, axis)
+            with pytest.raises(ValueError, match="not unitary"):
+                error_of_state(psi, bent)
+            # the dense check on the matrix built from the same basis agrees
+            assert not SpinOperator(j, bent.matrix, "bent").is_unitary()
+        finally:
+            _wigner_basis.cache_clear()
+            _basis_certificate.cache_clear()
+        assert rotation_unitary(j, 0.3, axis).is_unitary()
 
 
 @pytest.mark.parametrize("twice_j", [1, 2, 9, 64])
