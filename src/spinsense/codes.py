@@ -22,8 +22,8 @@ from .spin import (
 ORTHONORMAL_TOL = 1e-10
 # the largest |theta| at which the small-angle error theta^2 Var(G) is reported
 SMALL_THETA_MAX = 0.1
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden section stops at this width relative to the bracket of the dual
+# the worst-codeword search stops at a duality gap of this much relative to
+# the dual value, or at a bracket this narrow relative to its largest end
 _DUAL_RTOL = 1e-14
 # eigenvalues of A2 - 2 lam* A1 this close to the top one (relative to the
 # spectral radius) count as one crossing cluster
@@ -215,16 +215,45 @@ def max_error_over_code(
     Exact by convex duality.  With A1 = B'GB and A2 = B'G^2B the joint
     numerical range of (A1, A2) is convex, so
 
-        max over unit c of Var_c(G) = min over lam of lam_max(A2 - 2 lam A1) + lam^2
+        max over unit c of Var_c(G) = min over lam of f(lam),
+        f(lam) = lam_max(A2 - 2 lam A1) + lam^2,
 
-    with no gap.  The convex right side is minimized by golden section over
-    [lam_min(A1), lam_max(A1)], which holds the minimizer lam* = <G> at the
-    worst state.  That state lies in the top eigenspace of A2 - 2 lam* A1,
-    taken as the eigenvalues within 1e-9 of the top one relative to the
-    spectral radius.  Inside it the lowest and highest eigenvectors of A1
-    are mixed so that <A1> = lam*: at an eigenvalue crossing (the NOON pair
-    under Jz) a bare top eigenvector can have zero variance.  The returned
-    error is theta^2 times the variance at the returned state.  Deterministic.
+    with no gap.  Let v be a top eigenvector of M = A2 - 2 lam A1
+    (eigenvalues e_i, top e_top) and a = <v|A1|v>.  Then f'(lam) = 2 g with
+    g = lam - a, and Var_v = f(lam) - g^2: one eigendecomposition gives a
+    state, the slope and the duality gap g^2, which certifies the state by
+    weak duality (Boyd and Vandenberghe, Convex Optimization, section 5.2).
+    This is Overton's minimization of lam_max (SIAM J. Matrix Anal. Appl.
+    9, 1988) in one variable.  f - lam^2 is convex, so g rises with slope
+    g' = 1 + 4 sum over i not top of |<v_i|A1|v>|^2 / (e_top - e_i) >= 1,
+    and the minimizer lam* = <G> at the worst state lies between lam and
+    a.  From lam = 0, the mean of G over the code, the loop takes Newton
+    steps on g inside a bracket that starts as [lam_min(A1), lam_max(A1)]
+    and is cut to [lam, a] at every step.  As in
+    estimation._newton_lockstep, a step that would leave the bracket
+    bisects it instead, and so does the second of each pair of steps
+    (3, 4), (5, 6), ... when the first did not halve it.
+
+    Eigenvalues of M within 1e-9 of the top one, relative to the spectral
+    radius, count as one crossing cluster.  In it the lowest and highest
+    eigenvectors of A1 (eigenvalues m_lo <= m_hi) are mixed so that
+    a = <A1> = clip(lam, m_lo, m_hi): the gap is 0 at a crossing (the NOON
+    pair under Jz), where a bare top eigenvector can have zero variance.
+
+    The loop stops when g^2 <= rho |f(lam)|, rho = 1e-14 (f >= 0, up to
+    rounding), and that gap is reachable in floating point.  B B' is a
+    projector, so
+    A2 = (GB)'(GB) >= (GB)'B B'(GB) = A1^2, and the optimum is at least the
+    largest variance of A1 alone, (w/2)^2 with w = lam_max(A1) - lam_min(A1).
+    So |g| <= sqrt(rho) w/2 = 5e-8 w suffices.  Centring G on the code's
+    mean bounds |A1| by w and puts the rounding in a near eps w = 2.2e-16 w
+    wherever the top eigenvalue stands apart: more than seven orders below.
+    The loop also stops when the bracket is at most
+    rho max(|lam_min(A1)|, |lam_max(A1)|) >= rho w/2 wide.  After steps 1
+    and 2 each pair at least halves it, so the loop makes at most
+    2 + 2 ceil(log2(2/rho)) = 98 steps, each one eigendecomposition of M and
+    one of A1 on the cluster.  The returned error is theta^2 times the
+    variance at the returned state.  Deterministic.
     """
     if not abs(theta) <= SMALL_THETA_MAX:
         raise ValueError(f"|theta| must be <= {SMALL_THETA_MAX} for the small-angle form, got {theta!r}")
@@ -242,34 +271,31 @@ def max_error_over_code(
     gb = gb - shift * basis
     a1 = a1 - shift * np.eye(k)
     a2 = gb.conj().T @ gb
+    if not np.all(np.isfinite(a2)):
+        raise ValueError(f"operator {g.label!r} is too large: B'G^2B is not finite")
 
-    def dual(lam: float) -> float:
-        return float(np.linalg.eigvalsh(a2 - 2.0 * lam * a1)[-1]) + lam * lam
-
-    spectrum = np.linalg.eigvalsh(a1)
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    lo, hi = (float(x) for x in np.linalg.eigvalsh(a1)[[0, -1]])
     width_tol = _DUAL_RTOL * max(abs(lo), abs(hi))
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = dual(x1), dual(x2)
-    while hi - lo > width_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = dual(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = dual(x2)
-    lam = x1 if f1 <= f2 else x2
-
-    vals, vecs = np.linalg.eigh(a2 - 2.0 * lam * a1)
-    radius = max(abs(float(vals[0])), abs(float(vals[-1])))
-    top = vecs[:, vals >= vals[-1] - _CLUSTER_RTOL * radius]
-    mu, rot = np.linalg.eigh(top.conj().T @ a1 @ top)
-    c_lo, c_hi = top @ rot[:, 0], top @ rot[:, -1]
-    spread = float(mu[-1] - mu[0])
-    weight = min(max((lam - float(mu[0])) / spread, 0.0), 1.0) if spread > 0 else 0.0
-    c = math.sqrt(1.0 - weight) * c_lo + math.sqrt(weight) * c_hi
+    lam, step, pair_start = 0.0, 0, hi - lo
+    while True:
+        vals, vecs = np.linalg.eigh(a2 - 2.0 * lam * a1)
+        radius = max(abs(float(vals[0])), abs(float(vals[-1])))
+        in_top = vals >= vals[-1] - _CLUSTER_RTOL * radius
+        top = vecs[:, in_top]
+        mu, rot = np.linalg.eigh(top.conj().T @ a1 @ top)
+        a = min(max(lam, float(mu[0])), float(mu[-1]))
+        weight = (a - float(mu[0])) / float(mu[-1] - mu[0]) if mu[-1] > mu[0] else 0.0
+        c = top @ (math.sqrt(1.0 - weight) * rot[:, 0] + math.sqrt(weight) * rot[:, -1])
+        lo, hi = max(lo, min(lam, a)), min(hi, max(lam, a))
+        if (lam - a) ** 2 <= _DUAL_RTOL * abs(float(vals[-1]) + lam * lam) or hi - lo <= width_tol:
+            break
+        coupling = np.abs(vecs[:, ~in_top].conj().T @ (a1 @ c)) ** 2 / (vals[-1] - vals[~in_top])
+        nxt = lam - (lam - a) / (1.0 + 4.0 * float(np.sum(coupling)))
+        step += 1
+        # steps 3 and 4, 5 and 6, ... form pairs; pair_start is the width before a pair
+        halved = step < 3 or step % 2 == 0 or hi - lo <= 0.5 * pair_start
+        pair_start = hi - lo
+        lam = nxt if halved and lo <= nxt <= hi else 0.5 * (lo + hi)
 
     vec = basis @ c
     worst = SpinState(code.j, vec / np.linalg.norm(vec))

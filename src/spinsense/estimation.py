@@ -167,6 +167,8 @@ def _invert_monotone(
     exceeds _BISECT_TOL), and returns the bracket's midpoint.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket!r}")
     grid = np.linspace(lo, hi, _GRID_POINTS)
@@ -254,6 +256,11 @@ def estimate_theta(
     sign change of dP/dtheta raises).  Frequencies outside the reachable
     range clip to the corresponding bracket endpoint.
     """
+    for name, value in (("count", count), ("trials", trials)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0 <= count <= trials:
         raise ValueError(f"count must lie in [0, {trials}], got {count}")
     theta, _ = _invert_monotone(_SurvivalModel(psi, g), np.array([count / trials]), bracket)

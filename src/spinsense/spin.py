@@ -234,7 +234,8 @@ class SpinOperator:
 
     @property
     def axis(self) -> RotationAxis | None:
-        """The axis u if axis_generator built this operator as u . J, else None."""
+        """The axis u if this operator is u . J, built by axis_generator or as
+        the standard Jx, Jy or Jz, else None."""
         return self._form.axis if isinstance(self._form, _BandForm) else None
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
@@ -410,9 +411,15 @@ def _standard_bands(j: SpinJ, label: str) -> dict:
     return ladders[label]
 
 
+# the axes of Jx, Jy and Jz, shared by every standard operator: a RotationAxis is immutable
+_STANDARD_AXES = {"Jx": RotationAxis.x(), "Jy": RotationAxis.y(), "Jz": RotationAxis.z()}
+
+
 def _standard_operator(j: SpinJ, label: str) -> SpinOperator:
-    """The standard operator with this label, kept as its bands (_standard_bands)."""
-    return SpinOperator._from_form(j, _BandForm(j.dim, _standard_bands(j, label)), label)
+    """The standard operator with this label, kept as its bands (_standard_bands);
+    Jx, Jy and Jz also keep their axis x, y or z (SpinOperator.axis)."""
+    form = _BandForm(j.dim, _standard_bands(j, label), _STANDARD_AXES.get(label))
+    return SpinOperator._from_form(j, form, label)
 
 
 def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
@@ -423,7 +430,8 @@ def build_spin_operators(j: SpinJ) -> SpinOperatorSet:
 
 class _BandForm:
     """A banded operator as its bands {q: values on the entries (i, i + q)}
-    (see _banded), and the axis u when it is the u . J of axis_generator."""
+    (see _banded), and the axis u when it is u . J (axis_generator, or the
+    standard Jx, Jy and Jz)."""
 
     __slots__ = ("dim", "bands", "axis")
 

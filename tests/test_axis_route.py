@@ -321,7 +321,7 @@ def test_axis_tag_is_not_data():
 def test_rotations_are_not_generators():
     j = SpinJ(5)
     assert rotation_unitary(j, 0.2, RotationAxis.x()).axis is None
-    assert build_spin_operators(j).jz.axis is None
+    assert generator_unitary(build_spin_operators(j).jz, 0.2).axis is None
 
 
 def test_is_unitary_sees_an_imaginary_defect():

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -533,15 +534,39 @@ def test_named_operators_match_the_operator_set():
     assert np.array_equal(identity.matrix, np.eye(j.dim, dtype=complex))
 
 
-def _readme_commands():
-    """The sh block under "## Command line" in README.md, one command per entry."""
+def _readme_block(heading, language):
+    """The first ```language block under the README.md section `heading`."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("## Command line") :]
-    start = section.index("```sh\n") + len("```sh\n")
-    block = section[start : section.index("```", start)]
+    section = text[text.index(heading) :]
+    start = section.index(f"```{language}\n") + len(f"```{language}\n")
+    return section[start : section.index("```", start)]
+
+
+def _readme_commands():
+    """The sh block under "## Command line" in README.md, one command per entry."""
+    block = _readme_block("## Command line", "sh")
     return [cmd.split("#")[0].strip() for cmd in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_library_tour_runs():
+    # run the block statement by statement, keeping the value of each bare expression
+    namespace, values = {}, []
+    for node in ast.parse(_readme_block("## Library quick tour", "python")).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    qfi_z, kl_passed = values
+    # the two results the block states: 16.0 on every axis, and the KL check passes
+    assert qfi_z == pytest.approx(16.0, rel=1e-12)
+    assert kl_passed is True
+    rng = np.random.default_rng(85)
+    axis = namespace["RotationAxis"]
+    for _ in range(5):
+        u = axis.from_vector(rng.normal(size=3))
+        assert namespace["rotation_qfi"](namespace["psi"], u) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):

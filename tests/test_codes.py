@@ -31,6 +31,7 @@ from spinsense import (
     axis_generator,
     tensor_operator,
 )
+from spinsense.codes import _DUAL_RTOL
 from spinsense.spin import _standard_operator
 from helpers import random_hermitian, random_state, random_unitary
 
@@ -306,6 +307,104 @@ def test_max_error_exact_crossing():
         worst, err = max_error_over_code(code, g, theta)
         assert err == pytest.approx(theta * theta * var, rel=1e-12)
         assert error_small_theta(worst, g, theta) == pytest.approx(err, rel=1e-12)
+
+
+def _golden_dual(code, g):
+    """min over lam of lam_max(A2 - 2 lam A1) + lam^2 by golden section on
+    the dense matrices: an independent reference for the convex dual."""
+    basis = code.basis_matrix()
+    gb = g.matrix @ basis
+    a1 = basis.conj().T @ gb
+    shift = np.trace(a1).real / a1.shape[0]
+    gb = gb - shift * basis
+    a1, a2 = a1 - shift * np.eye(a1.shape[0]), gb.conj().T @ gb
+    lo, hi = np.linalg.eigvalsh(a1)[[0, -1]]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        f1, f2 = (np.linalg.eigvalsh(a2 - 2.0 * x * a1)[-1] + x * x for x in (x1, x2))
+        lo, hi = (lo, x2) if f1 <= f2 else (x1, hi)
+    lam = 0.5 * (lo + hi)
+    return np.linalg.eigvalsh(a2 - 2.0 * lam * a1)[-1] + lam * lam
+
+
+def _random_axis_codes(seed, count):
+    """Seeded codes of k = 2..5 random orthonormal words with a random-axis u.J."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        k = int(rng.integers(2, 6))
+        j = SpinJ(int(rng.integers(max(3, k - 1), 41)))
+        u = random_unitary(j.dim, rng)
+        code = CodeSpace(j, [SpinState(j, u[:, i]) for i in range(k)])
+        cases.append((code, axis_generator(j, RotationAxis.from_vector(rng.normal(size=3)))))
+    return cases
+
+
+def _crossing_cases():
+    ops = build_spin_operators(J6)
+    return [
+        (_ae_code(), ops.jz),
+        (CodeSpace(J6, [basis_state(J6, 12), basis_state(J6, 0), basis_state(J6, -4)]), ops.jz),
+        (CodeSpace(J6, [basis_state(J6, 12), basis_state(J6, 0), basis_state(J6, -4)]), ops.jx),
+    ]
+
+
+def _solves_per_call(monkeypatch, cases):
+    """The eigh and eigvalsh calls that max_error_over_code makes on each case."""
+    count = [0]
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            count[0] += 1
+            return solver(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    solves = []
+    for code, g in cases:
+        count[0] = 0
+        max_error_over_code(code, g, 0.05)
+        solves.append(count[0])
+    monkeypatch.undo()
+    return solves
+
+
+def test_max_error_equals_a_golden_section_dual():
+    for code, g in _random_axis_codes(41, 60):
+        theta = 0.05
+        err = max_error_over_code(code, g, theta)[1]
+        assert err == pytest.approx(theta * theta * _golden_dual(code, g), rel=1e-12, abs=0.0)
+
+
+def test_max_error_needs_few_eigensolves(monkeypatch):
+    # one eigvalsh of A1 for the bracket, then per Newton step one eigh of
+    # A2 - 2 lam A1 and one of A1 on its top eigenspace; golden section took 74
+    solves = _solves_per_call(monkeypatch, _random_axis_codes(22, 120))
+    assert np.median(solves) <= 12
+
+
+def test_max_error_stays_within_its_step_bound(monkeypatch):
+    # the docstring's bound: at most 2 + 2 ceil(log2(2 / rho)) = 98 steps of two solves each
+    steps = 2 + 2 * math.ceil(math.log2(2.0 / _DUAL_RTOL))
+    assert steps == 98
+    random = _solves_per_call(monkeypatch, _random_axis_codes(23, 60))
+    crossings = _solves_per_call(monkeypatch, _crossing_cases())
+    assert max(random + crossings) <= 1 + 2 * steps
+    # the crossing of m = 6, 0, -2 off the centre of the <Jz> range is the
+    # slow case: there Newton steps give way to bisection
+    assert crossings[1] > max(random)
+
+
+def test_max_error_rejects_a_generator_whose_square_overflows():
+    j = SpinJ(8)
+    code = CodeSpace(j, [basis_state(j, 8), basis_state(j, 0)])
+    huge = SpinOperator(j, 1e160 * build_spin_operators(j).jz.matrix, "huge")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="'huge' is too large: B'G\\^2B is not finite"):
+            max_error_over_code(code, huge, 0.05)
 
 
 def test_ae_codeword_amplitudes():

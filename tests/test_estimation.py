@@ -120,6 +120,25 @@ def test_estimate_theta_count_range():
         estimate_theta(101, 100, noon_state(J2), JZ, (0.0, 0.39))
 
 
+def test_estimate_theta_rejects_zero_trials():
+    # a frequency count / trials needs at least one trial
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        estimate_theta(0, 0, noon_state(J2), JZ, (0.0, 0.39))
+
+
+@pytest.mark.parametrize("count, trials", [(5.5, 100), (5, 100.0)])
+def test_estimate_theta_rejects_non_integer_counts(count, trials):
+    name, value = ("count", count) if isinstance(count, float) else ("trials", trials)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        estimate_theta(count, trials, noon_state(J2), JZ, (0.0, 0.39))
+
+
+@pytest.mark.parametrize("bracket", [(0.05, math.inf), (-math.inf, 0.39), (0.0, math.nan)])
+def test_estimate_theta_rejects_a_non_finite_bracket(bracket):
+    with pytest.raises(ValueError, match="bracket ends must be finite"):
+        estimate_theta(50, 100, noon_state(J2), JZ, bracket)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _noon_config(trials_per_run=50)

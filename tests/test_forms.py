@@ -28,6 +28,7 @@ from spinsense import (
     tensor_operator,
 )
 from spinsense.spin import (
+    _RotationForm,
     _banded,
     _basis_certificate,
     _hermitian_defect,
@@ -216,6 +217,10 @@ def _reference_bands(j: SpinJ) -> dict:
     return bands
 
 
+# Jx, Jy and Jz are u . J on the coordinate axes; no other band operator has an axis
+_STANDARD_AXES = {"Jx": [1.0, 0.0, 0.0], "Jy": [0.0, 1.0, 0.0], "Jz": [0.0, 0.0, 1.0]}
+
+
 def _band_operators(j: SpinJ) -> dict:
     """Every operator the library keeps as bands on spin J, keyed as in _reference_bands."""
     ops = {label: _standard_operator(j, label) for label in ("I", "Jx", "Jy", "Jz", "J+", "J-", "J^2")}
@@ -231,7 +236,8 @@ def test_band_operators_keep_the_values_of_their_dense_builds(twice_j):
     ops = _band_operators(j)
     assert ops.keys() == reference.keys()
     for key, op in ops.items():
-        assert "matrix" not in vars(op) and op.axis is None
+        assert "matrix" not in vars(op)
+        assert (None if op.axis is None else op.axis.u.tolist()) == _STANDARD_AXES.get(key), key
         defect = op._form.hermitian_defect()
         assert op.matrix.tobytes() == _banded(j.dim, reference[key]).tobytes(), key
         assert not op.matrix.flags.writeable
@@ -274,14 +280,17 @@ def test_block_apply_is_the_vector_apply_per_column(twice_j, k, seed, theta):
         assert np.all(gap <= 1e-13 * np.linalg.norm(block, axis=0))
 
 
-def test_standard_operators_keep_the_eigendecomposition_route():
+def test_standard_operators_take_the_axis_route():
     j = SpinJ(30)
     psi = random_state(j, np.random.default_rng(30))
     ops = build_spin_operators(j)
-    for op in (ops.jx, ops.jz):
-        twin = SpinOperator(j, op.matrix, op.label)
-        assert op.axis is None
+    for op, axis in ((ops.jx, RotationAxis.x()), (ops.jy, RotationAxis.y()), (ops.jz, RotationAxis.z())):
+        assert np.array_equal(op.axis.u, axis.u)
+        generator = axis_generator(j, axis)
         rot = generator_unitary(op, 0.3)
-        assert rot._form is None
-        assert rot.matrix.tobytes() == generator_unitary(twin, 0.3).matrix.tobytes()
-        assert qfi_finite_difference(psi, op, 1e-3) == qfi_finite_difference(psi, twin, 1e-3)
+        assert isinstance(rot._form, _RotationForm)
+        assert rot.matrix.tobytes() == generator_unitary(generator, 0.3).matrix.tobytes()
+        assert qfi_finite_difference(psi, op, 1e-3) == qfi_finite_difference(psi, generator, 1e-3)
+        # a formless twin still takes the eigendecomposition, to within 1e-13
+        twin = generator_unitary(SpinOperator(j, op.matrix, op.label), 0.3)
+        assert twin._form is None and np.abs(rot.matrix - twin.matrix).max() <= 1e-13

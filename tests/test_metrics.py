@@ -80,6 +80,33 @@ def test_incomplete_projector_set_rejected():
         ProjectorBasis([proj])
 
 
+def _projector(j, matrix, label="P"):
+    return SpinOperator(j, np.asarray(matrix, dtype=complex), label)
+
+
+def test_projector_basis_rejects_a_non_hermitian_projector():
+    # idempotent, but not self-adjoint: an oblique projector
+    with pytest.raises(ValueError, match="projector 1 is not Hermitian"):
+        ProjectorBasis([_projector(HALF, [[1, 0], [0, 0]]), _projector(HALF, [[0, 1], [0, 1]])])
+
+
+def test_projector_basis_rejects_a_non_idempotent_projector():
+    half = _projector(HALF, 0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        ProjectorBasis([half, half])
+
+
+def test_projector_basis_rejects_overlapping_projectors():
+    # |up><up| and |+><+| are each Hermitian and idempotent, but overlap
+    with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
+        ProjectorBasis([_projector(HALF, [[1, 0], [0, 0]]), _projector(HALF, 0.5 * np.ones((2, 2)))])
+
+
+def test_projector_basis_rejects_projectors_on_different_spins():
+    with pytest.raises(ValueError, match="projectors act on different spin spaces"):
+        ProjectorBasis([_projector(HALF, np.eye(2)), _projector(SpinJ(2), np.eye(3))])
+
+
 def test_statistical_distance_identical_and_disjoint():
     p = Distribution(np.array([0.3, 0.7]))
     assert statistical_distance(p, p).omega == pytest.approx(0.0, abs=1e-12)

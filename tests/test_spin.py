@@ -151,11 +151,11 @@ def test_dense_operators_refuse_oversized_spin(monkeypatch):
     for op in (ops.jx, ops.jsq, tensor):
         with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
             op.matrix
-    # the off-pole rotation needs the d x d Wigner basis, the eigendecomposition a dense Jx
+    # the off-pole rotation needs the d x d Wigner basis, also when it rotates about the standard Jx
     with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
         rot.is_unitary()
     with pytest.raises(ValueError, match=f"2J <= {MAX_DENSE_TWICE_J}"):
-        generator_unitary(ops.jx, 0.1)
+        generator_unitary(ops.jx, 0.1).is_unitary()
     # the boundary itself, on a lowered limit so that nothing large is built
     monkeypatch.setattr("spinsense.spin.MAX_DENSE_TWICE_J", 8)
     assert build_spin_operators(SpinJ(8)).jz.matrix.shape == (9, 9)
