@@ -15,6 +15,7 @@ from .spin import (
     SpinState,
     _axis_spectrum,
     _banded,
+    _hermitian_defect,
     apply,
     expectation_and_variance,
 )
@@ -66,7 +67,7 @@ class ProjectorBasis:
             if p.j != self.j:
                 raise ValueError("projectors act on different spin spaces")
             m = p.matrix
-            if float(np.max(np.abs(m - m.conj().T))) > PROJECTOR_TOL:
+            if _hermitian_defect(m)[0] > PROJECTOR_TOL:
                 raise ValueError(f"projector {idx} is not Hermitian")
             if float(np.max(np.abs(m @ m - m))) > PROJECTOR_TOL:
                 raise ValueError(f"projector {idx} is not idempotent")
@@ -91,7 +92,7 @@ class ProjectorBasis:
             v = s.amplitudes
             # capped, before any d x d allocation
             proj = np.outer(v, v.conj(), out=_banded(s.j.dim, {}))
-            projs.append(SpinOperator._owned(s.j, proj, label="proj"))
+            projs.append(SpinOperator(s.j, proj, label="proj"))
         return cls(projs)
 
     @classmethod
@@ -102,7 +103,7 @@ class ProjectorBasis:
         v = psi.amplitudes
         p1 = np.outer(v, v.conj())
         p2 = identity - p1
-        return cls([SpinOperator._owned(psi.j, p1, "yes"), SpinOperator._owned(psi.j, p2, "no")])
+        return cls([SpinOperator(psi.j, p1, "yes"), SpinOperator(psi.j, p2, "no")])
 
 
 @dataclass(frozen=True)

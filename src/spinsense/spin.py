@@ -22,8 +22,6 @@ UNITARY_TOL = 1e-10
 AXIS_TOL = 1e-12
 # Largest 2J for which a dense (2J+1)^2 complex matrix is built: 268 MB at 4096.
 MAX_DENSE_TWICE_J = 4096
-# Rows per strip of the Hermitian check: a strip of a d x d matrix is 1 MB at 2J = 1000.
-_STRIP = 64
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -41,18 +39,8 @@ def _checked_matrix(j: SpinJ, mat: np.ndarray, label: str) -> np.ndarray:
 
 
 def _hermitian_defect(m: np.ndarray) -> tuple[float, float]:
-    """(max |M - M^dag|, max |M|) of a square matrix, read in strips of _STRIP rows.
-
-    Strip i compares its entries right of column i with the columns
-    M[i:, i:i+s] conjugated.  Since |(M - M^dag)_ik| = |(M - M^dag)_ki|
-    exactly, these upper parts give the maximum over the whole matrix.
-    """
-    defect = size = 0.0
-    for i in range(0, m.shape[0], _STRIP):
-        strip = m[i : i + _STRIP]
-        defect = max(defect, float(np.max(np.abs(strip[:, i:] - m[i:, i : i + _STRIP].conj().T))))
-        size = max(size, float(np.max(np.abs(strip))))
-    return defect, size
+    """(max |M - M^dag|, max |M|) of a square matrix."""
+    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m)))
 
 
 def check_tolerance(tol: float) -> None:
@@ -156,14 +144,16 @@ class SpinState:
         seen = set()
         for entry in entries:
             try:
-                twice_m = entry["m_times_2"]
-                value = complex(entry["re"], entry["im"])
+                twice_m, re, im = entry["m_times_2"], entry["re"], entry["im"]
+                value = complex(re, im)
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad amplitude entry {entry!r}: {exc}") from None
             # as for twice_j: a bool or a float is not a level, even where it
-            # would pass for one
+            # would pass for one; nor is a bool an amplitude part
             if isinstance(twice_m, bool) or not isinstance(twice_m, (int, np.integer)):
                 raise ValueError(f"m_times_2 must be an integer, got {twice_m!r}")
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise ValueError(f"re and im must be numbers, got {re!r} and {im!r}")
             if twice_m in seen:
                 raise ValueError(f"duplicate amplitude entry for m_times_2={twice_m}")
             seen.add(twice_m)
@@ -218,14 +208,6 @@ class SpinOperator:
         return mat
 
     @classmethod
-    def _owned(cls, j: SpinJ, mat: np.ndarray, label: str = "") -> "SpinOperator":
-        """Wrap a complex matrix the library has just allocated, without copying
-        it; the checks of the constructor still run and the matrix is frozen."""
-        op = cls.__new__(cls)
-        op.__dict__.update(j=j, label=label, _form=None, matrix=_checked_matrix(j, mat, label))
-        return op
-
-    @classmethod
     def _from_form(cls, j: SpinJ, form: _BandForm | _RotationForm, label: str) -> "SpinOperator":
         """An operator that keeps its form; its matrix is built on first read."""
         op = cls.__new__(cls)
@@ -239,43 +221,33 @@ class SpinOperator:
         return self._form.axis if isinstance(self._form, _BandForm) else None
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        """max |M - M^dag| <= tol * max(1, max |M|), read in strips of _STRIP rows
-        (see _hermitian_defect), so no d x d temporary is allocated; a banded
-        operator reads its bands instead, to the same two numbers."""
+        """max |M - M^dag| <= tol * max(1, max |M|); a banded operator reads
+        its bands instead, to the same two numbers."""
+        check_tolerance(tol)
         form = self._form
         banded = isinstance(form, _BandForm)
         defect, size = form.hermitian_defect() if banded else _hermitian_defect(self.matrix)
         return defect <= tol * max(1.0, size)
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        """max |U^dag U - I| <= tol, with U^dag U from real products of U = Ur + i Ui:
-        its real part is Ur^T Ur + Ui^T Ui and its imaginary part X - X^T, X = Ur^T Ui.
+        """max |U^dag U - I| <= tol.
 
         A rotation that keeps its form compares instead a bound on
         ||U^dag U - I||_2, which is at least every |entry| of U^dag U - I,
         with tol (_RotationForm.unitary_bound).
         """
+        check_tolerance(tol)
         form = self._form
         if isinstance(form, _RotationForm):
             return form.unitary_bound() <= tol
-        # (U^dag U)_jj = sum_i |U_ij|^2, so one |U_ij|^2 above 1 + |tol| decides
-        # the check below (which squares tol) before any product can overflow
+        # (U^dag U)_jj = sum_i |U_ij|^2, so one |U_ij|^2 above 1 + tol decides
+        # the check before the product could overflow
         big = float(np.max(np.abs(self.matrix)))
-        if big * big > 1.0 + abs(tol):
+        if big * big > 1.0 + tol:
             return False
-        re = self.matrix.real.copy()
-        im = self.matrix.imag.copy()
-        x = re.T @ im
-        gram = re.T @ re
-        # the copies of Ur and Ui take Ui^T Ui and X - X^T once they are no longer read
-        gram += np.matmul(im.T, im, out=re)
-        skew = np.subtract(x, x.T, out=im)
+        gram = self.matrix.conj().T @ self.matrix
         gram.flat[:: self.j.dim + 1] -= 1.0
-        # |z|^2 <= tol^2 for every entry z: squares, since np.hypot is an order slower
-        gram *= gram
-        skew *= skew
-        gram += skew
-        return float(np.max(gram)) <= tol * tol
+        return float(np.max(np.abs(gram))) <= tol
 
     def dagger(self) -> "SpinOperator":
         return SpinOperator(self.j, self.matrix.conj().T, label=f"{self.label}^dag")
@@ -874,7 +846,7 @@ def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:
     if axis is not None:
         return SpinOperator._from_form(g.j, _RotationForm(g.j, theta, axis), label)
     w, v = np.linalg.eigh(g.matrix)
-    return SpinOperator._owned(g.j, (v * np.exp(-1j * theta * w)) @ v.conj().T, label)
+    return SpinOperator(g.j, (v * np.exp(-1j * theta * w)) @ v.conj().T, label)
 
 
 def rotation_unitary(j: SpinJ, theta: float, u: RotationAxis) -> SpinOperator:

@@ -302,7 +302,8 @@ def test_axis_tag_is_not_data():
     assert g.axis is axis
     plain = _untagged(g)
     # a twin without the tag that shares the same matrix object
-    twin = SpinOperator._owned(j, g.matrix, g.label)
+    twin = SpinOperator.__new__(SpinOperator)
+    twin.__dict__.update(j=j, label=g.label, _form=None, matrix=g.matrix)
     assert twin.axis is None and g == twin
     assert repr(g) == repr(plain)
     assert g.to_json_dict() == plain.to_json_dict()
@@ -434,7 +435,7 @@ def test_hermitian_check_reads_strips(dim):
         defect, size = _hermitian_defect(m)
         assert defect == np.max(np.abs(m - m.conj().T))
         assert size == np.max(np.abs(m))
-    # a defect only in the lower triangle; at d = 129 no row strip reaches row 100, column 2
+    # a defect only in the lower triangle, at row 100, column 2 where d = 129
     assert SpinOperator(j, herm, "H").is_hermitian()
     bent = herm.copy()
     bent[min(100, dim - 1), 2] += 1e-9

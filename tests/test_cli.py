@@ -714,6 +714,21 @@ def test_non_integer_m_times_2_is_input_error(argv, doc, capsys, monkeypatch):
     assert "m_times_2 must be an integer" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["state-check"], ["qfi", "--input", "-"], ["code-check", "--errors", "I"]]
+)
+def test_boolean_amplitude_is_input_error(argv, capsys, monkeypatch):
+    doc = {"twice_j": 1, "amplitudes": [{"m_times_2": 1, "re": True, "im": False}]}
+    if argv[0] == "code-check":
+        doc = {"twice_j": doc["twice_j"], "codewords": [doc]}
+    rc, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "re and im must be numbers" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
 def test_state_check_tolerance_uses_the_shared_validator(tol, capsys, monkeypatch):
     doc = {"twice_j": 2, "amplitudes": [{"m_times_2": 2, "re": 1.0, "im": 0.0}]}

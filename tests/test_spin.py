@@ -19,7 +19,7 @@ from spinsense import (
     rotation_unitary,
     tensor_operator,
 )
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_state, random_unitary
 from spinsense.spin import MAX_DENSE_TWICE_J
 
 
@@ -138,6 +138,41 @@ def test_non_finite_operator_rejected(bad):
     doc = {"twice_j": 2, "matrix_re": m.real.tolist(), "matrix_im": m.imag.tolist()}
     with pytest.raises(ValueError, match="finite"):
         SpinOperator.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+def test_operator_checks_reject_a_bad_tolerance(tol):
+    # a dense matrix, a banded operator, a rotation that keeps its form and a
+    # matrix too large to square: both checks refuse the tolerance on every route
+    j = SpinJ(4)
+    ops = (
+        SpinOperator(j, np.eye(j.dim), "I"),
+        build_spin_operators(j).jplus,
+        rotation_unitary(j, 0.3, RotationAxis.from_vector([1.0, 2.0, 2.0])),
+        SpinOperator(j, np.full((j.dim, j.dim), 1e200), "huge"),
+    )
+    for op in ops:
+        for check in (op.is_hermitian, op.is_unitary):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                check(tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("part", [1.0, 1j])
+def test_dense_unitary_check_at_its_tolerance(tol, part):
+    # U = 1 (+) V with V a seeded unitary; bending the zero entry U_0k by delta
+    # makes (U^dag U)_0k = delta exactly and moves no other entry by more than
+    # delta^2 plus the rounding of V^dag V
+    rng = np.random.default_rng(29)
+    j = SpinJ(6)
+    u = np.zeros((j.dim, j.dim), dtype=complex)
+    u[0, 0] = 1.0
+    u[1:, 1:] = random_unitary(j.dim - 1, rng)
+    assert SpinOperator(j, u, "U").is_unitary(tol)
+    for scale, unitary in ((1.0 + 1e-3, False), (1.0 - 1e-3, True)):
+        bent = u.copy()
+        bent[0, 3] += part * tol * scale
+        assert SpinOperator(j, bent, "bent").is_unitary(tol) is unitary
 
 
 def test_dense_operators_refuse_oversized_spin(monkeypatch):
@@ -303,6 +338,14 @@ def test_state_json_rejects_a_non_integer_level(twice_j, twice_m):
     # 2.0 would index the amplitudes with a float; True would pass for 2m = 1
     doc = {"twice_j": twice_j, "amplitudes": [{"m_times_2": twice_m, "re": 1.0, "im": 0.0}]}
     with pytest.raises(ValueError, match="m_times_2 must be an integer"):
+        SpinState.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("re,im", [(True, False), (True, 0.0), (1.0, False), (0.0, True)])
+def test_state_json_rejects_a_boolean_amplitude(re, im):
+    # True would pass for 1.0, as it would for 2m = 1 in a level
+    doc = {"twice_j": 1, "amplitudes": [{"m_times_2": 1, "re": re, "im": im}]}
+    with pytest.raises(ValueError, match="re and im must be numbers"):
         SpinState.from_json_dict(doc)
 
 
