@@ -245,9 +245,16 @@ class SpinOperator:
         big = float(np.max(np.abs(self.matrix)))
         if big * big > 1.0 + tol:
             return False
-        gram = self.matrix.conj().T @ self.matrix
-        gram.flat[:: self.j.dim + 1] -= 1.0
-        return float(np.max(np.abs(gram))) <= tol
+        # Past the guard no single product U_ki^* U_kj overflows, so only a sum
+        # over d terms can, and by Cauchy-Schwarz every partial sum of
+        # (U^dag U)_ij is at most sqrt((U^dag U)_ii (U^dag U)_jj) in size.  An
+        # inf or nan entry so means a diagonal entry above the float maximum,
+        # itself >= 1 + tol: the verdict is False, and inf > tol and nan <= tol
+        # both give False.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.matrix.conj().T @ self.matrix
+            gram.flat[:: self.j.dim + 1] -= 1.0
+            return float(np.max(np.abs(gram))) <= tol
 
     def dagger(self) -> "SpinOperator":
         return SpinOperator(self.j, self.matrix.conj().T, label=f"{self.label}^dag")
@@ -266,13 +273,22 @@ class SpinOperator:
             raise ValueError("operator document must be a JSON object")
         try:
             j = SpinJ(doc["twice_j"])
-            re = np.asarray(doc["matrix_re"], dtype=float)
-            im = np.asarray(doc["matrix_im"], dtype=float)
+            re = _number_matrix(doc["matrix_re"])
+            im = _number_matrix(doc["matrix_im"])
         except KeyError as exc:
             raise ValueError(f"operator document missing field {exc}") from None
         if re.shape != im.shape:
             raise ValueError("matrix_re and matrix_im shapes differ")
         return cls(j, re + 1j * im, label=str(doc.get("label", "")))
+
+
+def _number_matrix(rows) -> np.ndarray:
+    """A JSON matrix as floats; a boolean entry is not a number, even where
+    it would pass for 1.0 or 0.0 (as for SpinState amplitude parts)."""
+    entries = np.asarray(rows, dtype=object)
+    if any(isinstance(v, bool) for v in entries.flat):
+        raise ValueError("matrix_re and matrix_im entries must be numbers, not booleans")
+    return entries.astype(float)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ Each tensor component T_q^(k) is one band at offset q, computed from the
 ladder vector of J+ in O(d) and kept as that band; the reduced matrix
 elements <J||T^(k)||J> are closed forms.  The Wigner-Eckart route (3j
 symbols times the reduced element) and the operator route (the band applied
-to the state) share no arithmetic, so each checks the other.
+to the state) share no arithmetic, so each checks the other.  The
+Wigner-Eckart sum over m is one dot product of shifted amplitudes with the
+signed 3j weights of (2J, k, q), which do not depend on the state and are
+computed once and cached.
 """
 
 from __future__ import annotations
@@ -177,26 +180,32 @@ def we_expectation(psi: SpinState, k: int, q: int) -> complex:
     """<psi| T_q^(k) |psi> via the Wigner-Eckart 3j-weighted coefficient sum.
 
     Independent of the operator route (dense_expectation): only amplitudes,
-    3j symbols and the closed-form reduced matrix element enter.
+    3j symbols and the closed-form reduced matrix element enter.  The level
+    2m = 2J - 2i sits at amplitude index i, so n = m + q sits at i - q, and
+    the sum over m is one dot product with the cached weights of _we_weights.
     """
-    j = psi.j
-    tj = j.twice_j
+    tj = psi.j.twice_j
     _check_rank(tj, k, q)
-    rme = _closed_form_reduced(tj, k)
-    amps = psi.amplitudes
-    total = 0.0 + 0.0j
-    tm_lo = max(-tj, -tj - 2 * q)
-    tm_hi = min(tj, tj - 2 * q)
-    for tm in range(tm_lo, tm_hi + 1, 2):
-        tn = tm + 2 * q
-        a_m = amps[j.index_of(tm)]
-        a_n = amps[j.index_of(tn)]
-        if a_m == 0 or a_n == 0:
-            continue
-        w = _three_j_twice(tj, 2 * k, tj, -tn, 2 * q, tm)
-        sign = -1.0 if ((tj - 2 * q - tm) // 2) % 2 else 1.0
-        total += np.conj(a_n) * a_m * sign * w
-    return complex(total * rme)
+    a = psi.amplitudes
+    lo, hi = max(q, 0), tj + 1 + min(q, 0)
+    total = np.vdot(a[lo - q : hi - q], a[lo:hi] * _we_weights(tj, k, q))
+    return complex(total * _closed_form_reduced(tj, k))
+
+
+@lru_cache(maxsize=256)
+def _we_weights(twice_j: int, k: int, q: int) -> np.ndarray:
+    """The signed 3j weights (-1)^(J-n) (J k J; -n q m) of the Wigner-Eckart
+    sum, one per level m with n = m + q inside the spin, read-only; they do
+    not depend on the state, and (k, q) takes at most 8 values per spin."""
+    lo = max(q, 0)
+    w = np.empty(twice_j + 1 - abs(q))
+    for i in range(lo, lo + w.size):
+        # m at index i, n = m + q at index i - q = J - n
+        tm = twice_j - 2 * i
+        sign = -1.0 if (i - q) % 2 else 1.0
+        w[i - lo] = sign * _three_j_twice(twice_j, 2 * k, twice_j, -tm - 2 * q, 2 * q, tm)
+    w.flags.writeable = False
+    return w
 
 
 def dense_expectation(psi: SpinState, k: int, q: int) -> complex:

@@ -729,6 +729,18 @@ def test_boolean_amplitude_is_input_error(argv, capsys, monkeypatch):
     assert "re and im must be numbers" in json.loads(lines[0])["error"]
 
 
+def test_boolean_operator_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    doc = {"twice_j": 1, "matrix_re": [[True, 0.0], [False, True]], "matrix_im": [[0.0] * 2] * 2}
+    path.write_text(json.dumps(doc))
+    argv = ["error", "--state", "noon", "--twice-j", "1", "--operator-file", str(path)]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "entries must be numbers" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
 def test_state_check_tolerance_uses_the_shared_validator(tol, capsys, monkeypatch):
     doc = {"twice_j": 2, "amplitudes": [{"m_times_2": 2, "re": 1.0, "im": 0.0}]}

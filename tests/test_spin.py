@@ -175,6 +175,13 @@ def test_dense_unitary_check_at_its_tolerance(tol, part):
         assert SpinOperator(j, bent, "bent").is_unitary(tol) is unitary
 
 
+def test_dense_unitary_check_keeps_a_gram_overflow_quiet():
+    # 1e154^2 passes the |U_ij|^2 <= 1 + tol guard at tol = 1e308, but a sum of
+    # nine such products overflows: the verdict is False, with no warning
+    j = SpinJ(8)
+    assert SpinOperator(j, np.full((j.dim, j.dim), 1e154), "big").is_unitary(1e308) is False
+
+
 def test_dense_operators_refuse_oversized_spin(monkeypatch):
     # operators above the limit keep their bands and their rotations their
     # phases; the limit is checked where a (2J+1)^2 array would be made, so this is fast
@@ -347,6 +354,22 @@ def test_state_json_rejects_a_boolean_amplitude(re, im):
     doc = {"twice_j": 1, "amplitudes": [{"m_times_2": 1, "re": re, "im": im}]}
     with pytest.raises(ValueError, match="re and im must be numbers"):
         SpinState.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "re,im",
+    [
+        ([[True, False], [False, True]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[True, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, False]]),
+    ],
+)
+def test_operator_json_rejects_boolean_entries(re, im):
+    # the all-boolean identity would load as I and pass is_unitary; one boolean
+    # in a row of floats would pass for a number
+    doc = {"twice_j": 1, "matrix_re": re, "matrix_im": im}
+    with pytest.raises(ValueError, match="entries must be numbers"):
+        SpinOperator.from_json_dict(doc)
 
 
 def test_overlap_requires_matching_dimension():

@@ -5,6 +5,7 @@ import pytest
 
 from spinsense import (
     SpinJ,
+    SpinState,
     ThreeJArgs,
     basis_state,
     build_spin_operators,
@@ -13,7 +14,8 @@ from spinsense import (
     three_j,
     we_expectation,
 )
-from spinsense.wigner import _three_j_twice, dense_expectation
+from spinsense import wigner
+from spinsense.wigner import _closed_form_reduced, _three_j_twice, _we_weights, dense_expectation
 from helpers import random_state, random_symmetric_state
 
 # frozen from the exact-arithmetic Racah evaluation run ahead of the build
@@ -290,3 +292,64 @@ def test_symmetric_real_states_have_equal_q2_components():
         plus = we_expectation(psi, 2, 2)
         minus = we_expectation(psi, 2, -2)
         assert abs(plus - minus) < 1e-12
+
+
+def _we_expectation_loop(psi, k, q):
+    """The Wigner-Eckart sum as one term per level m, kept as the reference
+    for the dot product over cached weights."""
+    j = psi.j
+    tj = j.twice_j
+    amps = psi.amplitudes
+    total = 0.0 + 0.0j
+    for tm in range(max(-tj, -tj - 2 * q), min(tj, tj - 2 * q) + 1, 2):
+        tn = tm + 2 * q
+        a_m = amps[j.index_of(tm)]
+        a_n = amps[j.index_of(tn)]
+        if a_m == 0 or a_n == 0:
+            continue
+        w = _three_j_twice(tj, 2 * k, tj, -tn, 2 * q, tm)
+        sign = -1.0 if ((tj - 2 * q - tm) // 2) % 2 else 1.0
+        total += np.conj(a_n) * a_m * sign * w
+    return complex(total * _closed_form_reduced(tj, k))
+
+
+@pytest.mark.parametrize("twice_j", range(1, 61))
+def test_we_expectation_matches_the_per_level_loop(twice_j):
+    rng = np.random.default_rng(700 + twice_j)
+    j = SpinJ(twice_j)
+    real = rng.normal(size=j.dim)
+    states = [random_state(j, rng) for _ in range(3)]
+    states += [basis_state(j, int(tm)) for tm in j.twice_m_values()[:: max(1, twice_j // 4)]]
+    states += [SpinState(j, real / np.linalg.norm(real))]
+    tol = 1e-15 * max(1.0, j.j * (j.j + 1.0))
+    for psi in states:
+        for k in (1, 2):
+            if twice_j < k:
+                continue
+            for q in range(-k, k + 1):
+                assert abs(we_expectation(psi, k, q) - _we_expectation_loop(psi, k, q)) <= tol
+
+
+def test_we_weights_are_computed_once_per_component(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _three_j_twice(*args)
+
+    monkeypatch.setattr(wigner, "_three_j_twice", counting)
+    _we_weights.cache_clear()
+    psi = random_state(SpinJ(10), np.random.default_rng(5))
+    first = we_expectation(psi, 2, 1)
+    assert len(calls) == 10
+    assert we_expectation(psi, 2, 1) == first
+    assert len(calls) == 10
+    we_expectation(psi, 2, -1)
+    assert len(calls) == 20
+
+
+def test_we_weights_are_read_only():
+    w = _we_weights(12, 2, -2)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
