@@ -18,6 +18,11 @@ _GRID_POINTS = 257
 _MAX_TRIALS = 2**63 - 1
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     """One Monte Carlo experiment: `runs` repetitions of N survival trials.
@@ -40,21 +45,23 @@ class EstimationConfig:
             raise ValueError("generator does not match the state dimension")
         if not self.generator.is_hermitian():
             raise ValueError("generator must be Hermitian")
-        if (
-            not isinstance(self.trials_per_run, (int, np.integer))
-            or not 100 <= self.trials_per_run <= _MAX_TRIALS
-        ):
+        if not _is_integer(self.trials_per_run) or not 100 <= self.trials_per_run <= _MAX_TRIALS:
             raise ValueError(
                 f"trials_per_run must be an integer in [100, 2**63 - 1], got {self.trials_per_run!r}"
             )
-        if not isinstance(self.runs, (int, np.integer)) or self.runs < 1:
+        if not _is_integer(self.runs) or self.runs < 1:
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (math.isfinite(self.theta_true) and self.theta_true > 0):
+        if (
+            isinstance(self.theta_true, (bool, np.bool_))
+            or not math.isfinite(self.theta_true)
+            or not self.theta_true > 0
+        ):
             raise ValueError(f"theta_true must be positive and finite, got {self.theta_true!r}")
         for name in ("trials_per_run", "runs", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "theta_true", float(self.theta_true))
 
 
 @dataclass(frozen=True)
@@ -113,25 +120,28 @@ def _draw_counts(config: EstimationConfig, p: float) -> np.ndarray:
     One Philox generator serves every run: before each draw its state is
     reset to what ``Philox(key=[seed, run])`` starts from (counter 0, an
     empty buffer), which is far cheaper than constructing a new generator.
-    The key is an explicit uint64 array, since a plain list holding a seed
-    near 2**64 passes through float64 and collapses to the key 0.
-    test_simulate_trials_matches_fresh_philox_streams fails if numpy
-    changes this state layout.
+    The state is built once from plain Python ints, and each run only sets
+    the second key word: the state setter casts every value straight to
+    uint64, so a seed near 2**64 keeps all its bits.  (The ``Philox(key=...)``
+    constructor is different: it needs an explicit uint64 array, since there
+    a plain list holding such a seed passes through float64 and collapses to
+    the key 0.)  test_simulate_trials_matches_fresh_philox_streams fails if
+    numpy changes this state layout.
     """
     bits = np.random.Philox(0)  # its state is replaced before each draw
     gen = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
+    key = [config.seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": None},
-        "buffer": zeros,
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     counts = np.empty(config.runs, dtype=np.int64)
     for run in range(config.runs):
-        state["state"]["key"] = np.array([config.seed, run], dtype=np.uint64)
+        key[1] = run
         bits.state = state
         counts[run] = gen.binomial(config.trials_per_run, p)
     return counts
@@ -257,7 +267,7 @@ def estimate_theta(
     range clip to the corresponding bracket endpoint.
     """
     for name, value in (("count", count), ("trials", trials)):
-        if not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

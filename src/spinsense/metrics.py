@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -218,9 +219,19 @@ def qfi_finite_difference(psi: SpinState, g: SpinOperator, theta_step: float) ->
         raise ValueError(f"theta_step must lie in (0, 1e-2], got {theta_step!r}")
     model = _SurvivalModel(psi, g)
     phases, ov = model.amplitude(theta_step)
-    orth = math.sqrt(float(np.sum(model.weights * np.abs(phases[0] - ov[0]) ** 2)))
+    orth = math.sqrt(float(np.sum(model.weights * np.abs(phases[:, 0] - ov[0]) ** 2)))
     lam = math.atan2(orth, abs(ov[0]))
     return 4.0 * (lam / theta_step) ** 2
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """The sum down each column of x, added row by row in every case, so the
+    sum at one angle does not depend on which other angles share the matrix.
+    np.add.reduce over axis 0 adds row by row when x has two or more columns,
+    but sums a lone contiguous column pairwise; accumulate adds in order."""
+    if x.shape[1] == 1:
+        return np.add.accumulate(x, axis=0)[-1]
+    return np.add.reduce(x, axis=0)
 
 
 class _SurvivalModel:
@@ -245,17 +256,24 @@ class _SurvivalModel:
         self.evals = evals[keep]
         self.weights = weights[keep]
 
+    @cached_property
+    def _slope_weights(self) -> np.ndarray:
+        """The weights -i lambda_k w_k of dA/dtheta = sum_k -i lambda_k w_k
+        e^{-i theta lambda_k}, one row per eigenvalue, made on the first
+        evaluation instead of on every one."""
+        return (-1j * self.evals * self.weights)[:, None]
+
     def amplitude(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """The phase matrix e^{-i theta_n lambda_k}, one row per angle, and the
-        survival amplitude at each angle."""
-        phases = np.exp(-1j * np.outer(theta, self.evals))
-        return phases, np.sum(self.weights * phases, axis=-1)
+        """The phase matrix e^{-i theta_n lambda_k}, one column per angle, and
+        the survival amplitude at each angle."""
+        phases = np.exp(-1j * np.multiply.outer(self.evals, np.ravel(theta)))
+        return phases, _column_sums(self.weights[:, None] * phases)
 
     def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """P(theta) = |amplitude|^2, clipped into [0, 1], and dP/dtheta at
         every angle of the array theta."""
         phases, amp = self.amplitude(theta)
-        damp = np.sum((-1j * self.evals * self.weights) * phases, axis=-1)
+        damp = _column_sums(self._slope_weights * phases)
         return np.clip(np.abs(amp) ** 2, 0.0, 1.0), 2.0 * np.real(np.conj(amp) * damp)
 
     def first_slope_peak(self) -> float:

@@ -588,6 +588,21 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
     assert (tmp_path / "runs.csv").read_text().startswith("run,theta_hat\n0,")
 
 
+def test_readme_estimate_matches_its_golden_output(capsys, monkeypatch, tmp_path):
+    # the README estimate example (2J = 4 NOON, 1e5 trials x 200 runs, seed 42),
+    # pinned to the byte: any change to the draws or to the inversion on this
+    # two-level model shows up here
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    (command,) = [c for c in _readme_commands() if c.startswith("spinsense estimate")]
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(shlex.split(command)[1:], capsys)
+    assert (rc, err) == (0, "")
+    with open(os.path.join(data, "readme_estimate.out"), "rb") as fh:
+        assert out.encode() == fh.read()
+    with open(os.path.join(data, "readme_estimate_runs.csv"), "rb") as fh:
+        assert (tmp_path / "runs.csv").read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -126,9 +126,10 @@ def test_estimate_theta_rejects_zero_trials():
         estimate_theta(0, 0, noon_state(J2), JZ, (0.0, 0.39))
 
 
-@pytest.mark.parametrize("count, trials", [(5.5, 100), (5, 100.0)])
+@pytest.mark.parametrize("count, trials", [(5.5, 100), (5, 100.0), (True, 100), (5, True), (np.True_, 100)])
 def test_estimate_theta_rejects_non_integer_counts(count, trials):
-    name, value = ("count", count) if isinstance(count, float) else ("trials", trials)
+    # a bool is an int to Python, and would pass as 0 or 1
+    name, value = ("trials", trials) if type(count) is int else ("count", count)
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
         estimate_theta(count, trials, noon_state(J2), JZ, (0.0, 0.39))
 
@@ -154,6 +155,20 @@ def test_config_validation():
         _noon_config(theta_true=0.0)
     with pytest.raises(ValueError):
         _noon_config(generator=build_spin_operators(SpinJ(2)).jz)
+
+
+@pytest.mark.parametrize("field", ["trials_per_run", "runs", "seed", "theta_true"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_config_rejects_booleans(field, flag):
+    # True is an int to Python, and math.isfinite takes it: each would pass as 1
+    with pytest.raises(ValueError, match=field):
+        _noon_config(**{field: flag})
+
+
+def test_config_stores_theta_true_as_a_float():
+    for theta in (np.float32(0.05), np.float64(0.05), 1):
+        stored = _noon_config(theta_true=theta).theta_true
+        assert type(stored) is float and stored == float(theta)
 
 
 def test_crb_report_saturates_bound():

@@ -381,6 +381,31 @@ def test_first_slope_peak_matches_the_full_scan():
         assert model.first_slope_peak() == _full_scan_peak(model), n
 
 
+def _assert_angles_independent(model: _SurvivalModel, thetas: np.ndarray):
+    """P and dP/dtheta at each angle alone equal the same angle in the batch, bit for bit."""
+    probs, slopes = model.evaluate(thetas)
+    for i, theta in enumerate(thetas):
+        p, dp = model.evaluate(theta)
+        assert (p[0], dp[0]) == (probs[i], slopes[i]), (model.evals.size, thetas.size, i)
+
+
+def test_survival_at_one_angle_equals_the_batch():
+    # one kept eigenvalue up to 40, across numpy's switch to pairwise sums of
+    # a contiguous column at 8 terms; batches of one angle up to past 512
+    rng = np.random.default_rng(1040)
+    for k in range(1, 41):
+        j = SpinJ(k - 1)
+        model = _SurvivalModel(random_state(j, rng), axis_generator(j, RotationAxis.from_vector(rng.normal(size=3))))
+        assert model.evals.size == k
+        for n in (1, 2, 3, 7, 8, 9, 257, 512):
+            _assert_angles_independent(model, rng.uniform(-3.0, 3.0, size=n))
+    j = SpinJ(1000)
+    model = _SurvivalModel(random_state(j, rng), axis_generator(j, RotationAxis.from_vector(rng.normal(size=3))))
+    assert model.evals.size > 900
+    for n in (1, 2, 9, 512):
+        _assert_angles_independent(model, rng.uniform(0.0, 0.05, size=n))
+
+
 def test_projector_basis_checks_the_dense_limit_first():
     # the operator keeps its band; the d x d sum is refused before it is made
     with pytest.raises(ValueError, match="2J <= 4096"):
