@@ -138,7 +138,7 @@ def _delta_report(blocks: np.ndarray, tol: float) -> ConditionReport:
     max_off = float(np.max(np.abs(blocks * (1.0 - np.eye(blocks.shape[-1])))))
     max_spread = float(np.max(np.abs(diag - c[..., None])))
     violation = max(max_off, max_spread)
-    return ConditionReport(_frozen(c), violation, violation <= tol, max_off, max_spread)
+    return ConditionReport(_frozen(c), violation, bool(violation <= tol), max_off, max_spread)
 
 
 def _images(code: CodeSpace, errors: ErrorSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,5 +346,5 @@ def dfs_check(code: CodeSpace, g: SpinOperator, tol: float = 1e-10) -> bool:
         if var > tol:
             return False
         eigvals.append(mean)
-    return (max(eigvals) - min(eigvals)) <= tol
+    return bool(max(eigvals) - min(eigvals) <= tol)
 

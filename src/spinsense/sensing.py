@@ -124,7 +124,7 @@ def fisher_matrix(psi: SpinState) -> FisherMatrix:
 
 def rotation_qfi(psi: SpinState, u: RotationAxis) -> float:
     """QFI 4 u^T M u for estimating a rotation angle about the axis u."""
-    m = fisher_matrix(psi).matrix
+    m = spin_moments(psi)[1]
     return 4.0 * float(u.u @ m @ u.u)
 
 
@@ -132,13 +132,17 @@ def anticoherence_report(psi: SpinState, tol: float) -> AnticoherenceReport:
     """Certify <J_i> = 0 (order 1) and M = (J(J+1)/3) I (order 2) at tol."""
     check_tolerance(tol)
     means, cov = spin_moments(psi)
-    max_first = float(np.max(np.abs(means)))
+    max_first = max(map(abs, means.tolist()))
     jphys = psi.j.j
     target = jphys * (jphys + 1.0) / 3.0
-    max_dev = float(np.max(np.abs(cov - target * np.eye(3))))
+    # M - target I: the target comes off the diagonal entries 0, 4 and 8 only
+    dev = cov.ravel().tolist()
+    for i in (0, 4, 8):
+        dev[i] -= target
+    max_dev = max(map(abs, dev))
     return AnticoherenceReport(
-        order1=max_first <= tol,
-        order2=max_dev <= tol,
+        order1=bool(max_first <= tol),
+        order2=bool(max_dev <= tol),
         max_first_moment=max_first,
         max_matrix_deviation=max_dev,
     )

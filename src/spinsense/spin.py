@@ -44,8 +44,9 @@ def _hermitian_defect(m: np.ndarray) -> tuple[float, float]:
 
 
 def check_tolerance(tol: float) -> None:
-    """Reject a tolerance that is not a positive finite number (NaN included)."""
-    if not (tol > 0 and np.isfinite(tol)):
+    """Reject a tolerance that is not a positive finite number (NaN included);
+    a bool is not one, even where it would pass for 1.0."""
+    if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
@@ -227,7 +228,7 @@ class SpinOperator:
         form = self._form
         banded = isinstance(form, _BandForm)
         defect, size = form.hermitian_defect() if banded else _hermitian_defect(self.matrix)
-        return defect <= tol * max(1.0, size)
+        return bool(defect <= tol * max(1.0, size))
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         """max |U^dag U - I| <= tol.
@@ -239,7 +240,7 @@ class SpinOperator:
         check_tolerance(tol)
         form = self._form
         if isinstance(form, _RotationForm):
-            return form.unitary_bound() <= tol
+            return bool(form.unitary_bound() <= tol)
         # (U^dag U)_jj = sum_i |U_ij|^2, so one |U_ij|^2 above 1 + tol decides
         # the check before the product could overflow
         big = float(np.max(np.abs(self.matrix)))
@@ -254,7 +255,7 @@ class SpinOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.matrix.conj().T @ self.matrix
             gram.flat[:: self.j.dim + 1] -= 1.0
-            return float(np.max(np.abs(gram))) <= tol
+            return bool(float(np.max(np.abs(gram))) <= tol)
 
     def dagger(self) -> "SpinOperator":
         return SpinOperator(self.j, self.matrix.conj().T, label=f"{self.label}^dag")
@@ -356,6 +357,39 @@ def _ladder(twice_j: int) -> np.ndarray:
     return np.sqrt(((twice_j - k) * (k + 1)).astype(float))
 
 
+class _SpinTable(NamedTuple):
+    """The per-spin constants of the O(d) kernels, read-only (_spin_table):
+    m in index order (SpinJ.m_values), m^2, the ladder vector c (_ladder),
+    c[:-1], and m[:-1] - 1/2, the mean of m_k and m_{k+1}."""
+
+    m: np.ndarray
+    m_sq: np.ndarray
+    c: np.ndarray
+    c_head: np.ndarray
+    m_mid: np.ndarray
+
+
+# How many spins _spin_table keeps: a workload sweeps a few sizes, or a few
+# dozen small ones.  At 2J <= MAX_DENSE_TWICE_J an entry is at most 131 kB.
+_TABLE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_spin_table(twice_j: int) -> _SpinTable:
+    m = _frozen(SpinJ(twice_j).m_values())
+    c = _frozen(_ladder(twice_j))
+    return _SpinTable(m, _frozen(m * m), c, c[:-1], _frozen(m[:-1] - 0.5))
+
+
+def _spin_table(twice_j: int) -> _SpinTable:
+    """The constants of spin J (_SpinTable), built the first time a 2J is used
+    and kept for the last _TABLE_CACHE_SIZE spins up to MAX_DENSE_TWICE_J;
+    above it, where an entry grows past 131 kB, built afresh on every call."""
+    if twice_j > MAX_DENSE_TWICE_J:
+        return _cached_spin_table.__wrapped__(twice_j)
+    return _cached_spin_table(twice_j)
+
+
 def _check_dense_limit(twice_j: int) -> None:
     """Raise before a d x d array is allocated above 2J = MAX_DENSE_TWICE_J."""
     if twice_j > MAX_DENSE_TWICE_J:
@@ -390,10 +424,10 @@ def _standard_bands(j: SpinJ, label: str) -> dict:
     times the identity in closed form.
     """
     if label == "Jz":
-        return {0: j.m_values()}
+        return {0: _spin_table(j.twice_j).m}
     if label in ("I", "J^2"):
         return {0: np.full(j.dim, 1.0 if label == "I" else j.j * (j.j + 1.0))}
-    c = _ladder(j.twice_j)
+    c = _spin_table(j.twice_j).c
     half = c / 2.0
     ladders = {"Jx": {1: half, -1: half}, "Jy": {1: -1j * half, -1: 1j * half}, "J+": {1: c}, "J-": {-1: c}}
     return ladders[label]
@@ -468,8 +502,9 @@ def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     the Wigner basis.
     """
     ux, uy, uz = u.u
-    half = _ladder(j.twice_j) / 2.0
-    bands = {0: uz * j.m_values(), 1: complex(ux, -uy) * half, -1: complex(ux, uy) * half}
+    table = _spin_table(j.twice_j)
+    half = table.c / 2.0
+    bands = {0: uz * table.m, 1: complex(ux, -uy) * half, -1: complex(ux, uy) * half}
     return SpinOperator._from_form(j, _BandForm(j.dim, bands, u), f"u.J[{ux:g},{uy:g},{uz:g}]")
 
 
@@ -559,7 +594,7 @@ def _wigner_basis(twice_j: int) -> _WignerBasis:
     """
     _check_dense_limit(twice_j)
     dim, top, low = twice_j + 1, twice_j // 2 + 1, (twice_j + 1) // 2
-    e = _ladder(twice_j) / 2.0
+    e = _spin_table(twice_j).c / 2.0
     lam = np.arange(top) - twice_j / 2.0
     x = np.empty((top, top))
     x[0] = 1.0
@@ -719,7 +754,7 @@ class _RotationForm:
     __slots__ = ("j", "outer", "inner", "beta")
 
     def __init__(self, j: SpinJ, theta: float, u: RotationAxis):
-        m = j.m_values()
+        m = _spin_table(j.twice_j).m
         self.j = j
         if _is_polar(u):
             self.outer = _frozen(np.exp(-1j * theta * (u.u[2] * m)))
@@ -797,7 +832,7 @@ def _axis_spectrum(psi: SpinState, u: RotationAxis) -> tuple[np.ndarray, np.ndar
     |d(-b) exp(i a Jz) psi|^2, since d(b)^T = d(-b) (_wigner_small_d).
     """
     j = psi.j
-    m = j.m_values()
+    m = _spin_table(j.twice_j).m
     if _is_polar(u):
         evals = u.u[2] * m
         order = np.argsort(evals)
@@ -819,30 +854,39 @@ def spin_moments(psi: SpinState) -> tuple[np.ndarray, np.ndarray]:
     <J+ Jz + Jz J+>/2 = sum c_k (m_k + m_{k+1})/2 a_k* a_{k+1}, and
     <Jx^2 + Jy^2> = J(J+1) - <Jz^2>.  Each sum is divided by the computed
     sum |a|^2, so round-off in the normalization does not leak into them.
+    The constants come from the cached table of the spin (_spin_table), and
+    the nine entries of the covariance, second moment minus product of
+    means, are Python floats until the one array is made.
     """
     a = psi.amplitudes
-    c = _ladder(psi.j.twice_j)
-    m = psi.j.m_values()
+    j = psi.j.j
+    table = _spin_table(psi.j.twice_j)
     prob = np.abs(a) ** 2
-    norm = float(np.sum(prob))
-    up = c * a[1:]
-    jp = np.vdot(a[:-1], up) / norm
-    jp2 = np.vdot(a[:-2], c[:-1] * up[1:]) / norm
-    jzjp = np.vdot(a[:-1], (m[:-1] - 0.5) * up) / norm
-    jz = float(prob @ m) / norm
-    jz2 = float(prob @ (m * m)) / norm
+    norm = float(prob.sum())
+    up = table.c * a[1:]
+    jp = complex(np.vdot(a[:-1], up) / norm)
+    jp2 = complex(np.vdot(a[:-2], table.c_head * up[1:]) / norm)
+    jzjp = complex(np.vdot(a[:-1], table.m_mid * up) / norm)
+    jz = float(prob @ table.m) / norm
+    jz2 = float(prob @ table.m_sq) / norm
     # <Jx^2> - <Jy^2> = Re<J+^2> and <Jx Jy + Jy Jx>/2 = Im<J+^2>/2
-    perp = psi.j.j * (psi.j.j + 1.0) - jz2
+    perp = j * (j + 1.0) - jz2
     sxy = jp2.imag / 2.0
-    second = np.array(
+    x, y = jp.real, jp.imag
+    cov = np.array(
         [
-            [(perp + jp2.real) / 2.0, sxy, jzjp.real],
-            [sxy, (perp - jp2.real) / 2.0, jzjp.imag],
-            [jzjp.real, jzjp.imag, jz2],
+            (perp + jp2.real) / 2.0 - x * x,
+            sxy - x * y,
+            jzjp.real - x * jz,
+            sxy - y * x,
+            (perp - jp2.real) / 2.0 - y * y,
+            jzjp.imag - y * jz,
+            jzjp.real - jz * x,
+            jzjp.imag - jz * y,
+            jz2 - jz * jz,
         ]
-    )
-    means = np.array([jp.real, jp.imag, jz])
-    return means, second - np.outer(means, means)
+    ).reshape(3, 3)
+    return np.array([x, y, jz]), cov
 
 
 def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:

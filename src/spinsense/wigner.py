@@ -8,13 +8,13 @@ All angular momenta and projections are passed as twice-values so
 half-integers stay exact.
 
 Each tensor component T_q^(k) is one band at offset q, computed from the
-ladder vector of J+ in O(d) and kept as that band; the reduced matrix
-elements <J||T^(k)||J> are closed forms.  The Wigner-Eckart route (3j
-symbols times the reduced element) and the operator route (the band applied
-to the state) share no arithmetic, so each checks the other.  The
-Wigner-Eckart sum over m is one dot product of shifted amplitudes with the
-signed 3j weights of (2J, k, q), which do not depend on the state and are
-computed once and cached.
+ladder vector of J+ in O(d), cached per (2J, k, q) and kept as that band;
+the reduced matrix elements <J||T^(k)||J> are closed forms.  The
+Wigner-Eckart route (3j symbols times the reduced element) and the operator
+route (the band applied to the state) share no arithmetic, so each checks
+the other.  The Wigner-Eckart sum over m is one dot product of shifted
+amplitudes with the signed 3j weights of (2J, k, q), which do not depend on
+the state and are computed once and cached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin import SpinJ, SpinOperator, SpinState, _BandForm, _ladder, apply
+from .spin import MAX_DENSE_TWICE_J, SpinJ, SpinOperator, SpinState, _BandForm, _spin_table, apply
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -136,27 +136,45 @@ def _check_rank(twice_j: int, k: int, q: int = 0) -> None:
 
 
 def tensor_operator(j: SpinJ, k: int, q: int) -> TensorOperator:
-    """Rank-1 or rank-2 spherical tensor component T_q^(k), kept as its band.
-
-    Each component connects |J,m> only to |J,m+q>, so it is one real band
-    at offset q, computed in O(d) from m and the ladder vector c of J+:
-    T1_0 = Jz and T1_+-1 = -+J+-/sqrt2 (diagonal m and -+c/sqrt2);
-    T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
-    (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.  Requires 2J >= k.
-    """
+    """Rank-1 or rank-2 spherical tensor component T_q^(k), kept as its band
+    (_tensor_band).  Requires 2J >= k."""
     _check_rank(j.twice_j, k, q)
-    m = j.m_values()
-    c = _ladder(j.twice_j)
+    band = _tensor_band(j.twice_j, k, q)
+    return TensorOperator(k, q, SpinOperator._from_form(j, _BandForm(j.dim, {q: band}), f"T({k},{q:+d})"))
+
+
+@lru_cache(maxsize=256)
+def _cached_tensor_band(twice_j: int, k: int, q: int) -> np.ndarray:
+    table = _spin_table(twice_j)
+    m, c = table.m, table.c
+    jj = twice_j / 2.0
     sign = -1.0 if q > 0 else 1.0
     if q == 0:
-        band = m if k == 1 else (3.0 * m * m - j.j * (j.j + 1.0)) / math.sqrt(6.0)
+        band = m if k == 1 else (3.0 * m * m - jj * (jj + 1.0)) / math.sqrt(6.0)
     elif k == 1:
         band = sign * c / _SQRT2
     elif abs(q) == 1:
         band = sign * 0.5 * c * (m[:-1] + m[1:])
     else:
         band = 0.5 * c[:-1] * c[1:]
-    return TensorOperator(k, q, SpinOperator._from_form(j, _BandForm(j.dim, {q: band}), f"T({k},{q:+d})"))
+    band.flags.writeable = False
+    return band
+
+
+def _tensor_band(twice_j: int, k: int, q: int) -> np.ndarray:
+    """The band of T_q^(k) at offset q, read-only.
+
+    Each component connects |J,m> only to |J,m+q>, so it is one real band,
+    computed in O(d) from m and the ladder vector c of J+ (_spin_table):
+    T1_0 = Jz and T1_+-1 = -+J+-/sqrt2 (diagonal m and -+c/sqrt2);
+    T2_+-2 = J+-^2/2 (c_k c_{k+1}/2); T2_+-1 = -+(J+- Jz + Jz J+-)/2
+    (-+c_k (m_k + m_{k+1})/2); T2_0 = (3 Jz^2 - J^2)/sqrt6.  A band does not
+    depend on the state, and (k, q) takes at most 8 values per spin, so the
+    last 256 are kept, as the spin table is, up to MAX_DENSE_TWICE_J.
+    """
+    if twice_j > MAX_DENSE_TWICE_J:
+        return _cached_tensor_band.__wrapped__(twice_j, k, q)
+    return _cached_tensor_band(twice_j, k, q)
 
 
 def reduced_matrix_element(j: SpinJ, k: int) -> ReducedElement:

@@ -604,6 +604,26 @@ def test_readme_estimate_matches_its_golden_output(capsys, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["fisher-matrix"], "construct_fisher_matrix.out"),
+        (["qfi", "--axis=0.3,0.4,0.5"], "construct_qfi.out"),
+    ],
+    ids=["fisher-matrix", "qfi"],
+)
+def test_constructed_sensor_matches_its_golden_output(argv, golden, capsys, monkeypatch):
+    # construct --twice-j 12 --support 0,4,6 piped into the O(d) moments,
+    # pinned to the byte: any change to their arithmetic shows up here
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    rc, state, err = run_cli(["construct", "--twice-j", "12", "--support", "0,4,6"], capsys)
+    assert (rc, err) == (0, "")
+    rc, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=state)
+    assert (rc, err) == (0, "")
+    with open(os.path.join(data, golden), "rb") as fh:
+        assert out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["qfi"],

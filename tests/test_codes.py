@@ -111,7 +111,7 @@ def test_non_orthonormal_codewords_rejected():
         CodeSpace(j, [SpinState(j, v), basis_state(j, 2)])
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9, True, np.True_])
 def test_checks_reject_bad_tolerance(tol):
     errors = ErrorSet([_identity(J6)])
     with pytest.raises(ValueError, match="tolerance"):

@@ -31,6 +31,7 @@ from spinsense.spin import (
     _RotationForm,
     _banded,
     _basis_certificate,
+    _cached_spin_table,
     _hermitian_defect,
     _ladder,
     _standard_operator,
@@ -38,6 +39,7 @@ from spinsense.spin import (
     _wigner_basis,
     _wigner_small_d,
 )
+from spinsense.wigner import _cached_tensor_band
 
 _NAMED_AXES = {"z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "x": (1.0, 0.0, 0.0)}
 
@@ -254,13 +256,19 @@ def test_a_corrupted_standard_band_keeps_the_dense_check_numbers(key):
     j = SpinJ(9)
     op = _band_operators(j)[key]
     band = next(iter(op._form.bands.values()))
-    band.setflags(write=True)
-    band[2] += 1e-9
-    defect = op._form.hermitian_defect()
-    assert defect == _hermitian_defect(op.matrix)
-    # the upper band of Jy is its own array: a change there is a defect of 1e-9
-    if key == "Jy":
-        assert defect[0] == pytest.approx(1e-9, rel=1e-6) and not op.is_hermitian()
+    # the bands of Jz, J+, J- and T(2,1) are the cached read-only arrays of the
+    # spin table and the tensor bands: the bent ones are dropped afterwards
+    try:
+        band.setflags(write=True)
+        band[2] += 1e-9
+        defect = op._form.hermitian_defect()
+        assert defect == _hermitian_defect(op.matrix)
+        # the upper band of Jy is its own array: a change there is a defect of 1e-9
+        if key == "Jy":
+            assert defect[0] == pytest.approx(1e-9, rel=1e-6) and not op.is_hermitian()
+    finally:
+        _cached_spin_table.cache_clear()
+        _cached_tensor_band.cache_clear()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -105,7 +105,7 @@ def test_anticoherence_report_cases():
     assert rep.order1 and rep.order2
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9, True, np.True_])
 def test_anticoherence_report_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         anticoherence_report(noon_state(SpinJ(4)), tol)

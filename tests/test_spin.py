@@ -140,7 +140,7 @@ def test_non_finite_operator_rejected(bad):
         SpinOperator.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf, True, np.True_])
 def test_operator_checks_reject_a_bad_tolerance(tol):
     # a dense matrix, a banded operator, a rotation that keeps its form and a
     # matrix too large to square: both checks refuse the tolerance on every route
