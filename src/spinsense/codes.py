@@ -14,6 +14,8 @@ from .spin import (
     SpinState,
     _apply_block,
     _frozen,
+    _integer,
+    _json_fields,
     apply,
     check_tolerance,
     expectation_and_variance,
@@ -61,14 +63,8 @@ class CodeSpace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CodeSpace":
-        if not isinstance(doc, dict):
-            raise ValueError("code space document must be a JSON object")
-        try:
-            j = SpinJ(doc["twice_j"])
-            words = [SpinState.from_json_dict(w) for w in doc["codewords"]]
-        except KeyError as exc:
-            raise ValueError(f"code space document missing field {exc}") from None
-        return cls(j, words)
+        twice_j, words = _json_fields(doc, "code space", "twice_j", "codewords[]")
+        return cls(SpinJ(twice_j), [SpinState.from_json_dict(w) for w in words])
 
 
 @dataclass(frozen=True)
@@ -310,6 +306,7 @@ def ae_codewords(j: SpinJ, m1: int, m2: int) -> CodeSpace:
     least 3 units of m and ladder-operator products up to distance 2 can
     neither connect nor distinguish them.
     """
+    m1, m2 = _integer(m1, "m1"), _integer(m2, "m2")
     if not j.is_integer:
         raise ValueError(f"codewords use the m=0 level, so J must be an integer: 2J={j.twice_j}")
     if j.twice_j < 12:

@@ -9,18 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _SurvivalModel, qfi
-from .spin import SpinOperator, SpinState, _frozen
+from .spin import SpinOperator, SpinState, _frozen, _integer
 
 _BISECT_TOL = 1e-12
 # angles of the table that brackets every target of _invert_monotone
 _GRID_POINTS = 257
 # Generator.binomial takes the trial count as a signed 64-bit integer
 _MAX_TRIALS = 2**63 - 1
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, and not a bool (which Python counts as an int)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,13 +40,15 @@ class EstimationConfig:
             raise ValueError("generator does not match the state dimension")
         if not self.generator.is_hermitian():
             raise ValueError("generator must be Hermitian")
-        if not _is_integer(self.trials_per_run) or not 100 <= self.trials_per_run <= _MAX_TRIALS:
+        for name in ("trials_per_run", "runs", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not 100 <= self.trials_per_run <= _MAX_TRIALS:
             raise ValueError(
                 f"trials_per_run must be an integer in [100, 2**63 - 1], got {self.trials_per_run!r}"
             )
-        if not _is_integer(self.runs) or self.runs < 1:
+        if self.runs < 1:
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if (
             isinstance(self.theta_true, (bool, np.bool_))
@@ -59,8 +56,6 @@ class EstimationConfig:
             or not self.theta_true > 0
         ):
             raise ValueError(f"theta_true must be positive and finite, got {self.theta_true!r}")
-        for name in ("trials_per_run", "runs", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "theta_true", float(self.theta_true))
 
 
@@ -266,9 +261,8 @@ def estimate_theta(
     sign change of dP/dtheta raises).  Frequencies outside the reachable
     range clip to the corresponding bracket endpoint.
     """
-    for name, value in (("count", count), ("trials", trials)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _integer(count, "count")
+    _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0 <= count <= trials:

@@ -16,6 +16,7 @@ from .spin import (
     SpinState,
     _axis_spectrum,
     _banded,
+    _finite_array,
     _hermitian_defect,
     apply,
     expectation_and_variance,
@@ -34,11 +35,9 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
+        p = _finite_array(self.probs, float, "probabilities")
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be non-empty and one-dimensional")
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"probabilities must be finite: {p!r}")
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
             raise ValueError(f"probabilities out of [0, 1]: {p!r}")
         p = np.clip(p, 0.0, 1.0)
@@ -184,11 +183,9 @@ def classical_fisher(probs: Distribution, dprobs: Sequence[float]) -> float:
     probability (sum to zero) and vanish wherever P_i = 0, otherwise the
     information is singular and an error is raised instead of infinity.
     """
-    dp = np.asarray(dprobs, dtype=float)
+    dp = _finite_array(dprobs, float, "derivatives")
     if dp.shape != (len(probs),):
         raise ValueError(f"dprobs must have length {len(probs)}, got shape {dp.shape}")
-    if not np.all(np.isfinite(dp)):
-        raise ValueError(f"derivatives must be finite: {dp!r}")
     if abs(float(dp.sum())) > _DERIV_SUM_TOL:
         raise ValueError(f"derivative vector must sum to 0, got {float(dp.sum())!r}")
     p = probs.probs

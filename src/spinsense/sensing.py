@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .spin import RotationAxis, SpinJ, SpinState, check_tolerance, spin_moments
+from .spin import _finite_array, _integer, _json_fields
 
 MOMENT_TARGET_TOL = 1e-12
 
@@ -29,7 +30,7 @@ class FisherMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = _finite_array(self.matrix, float, "Fisher matrix entries")
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
         m.setflags(write=False)
@@ -74,11 +75,9 @@ class SupportSpec:
     def __post_init__(self):
         if not self.j.is_integer:
             raise ValueError("symmetric shells need integer m-levels, so J must be an integer")
-        shells = []
-        for s in self.support:
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise TypeError(f"shell values must be integers, got {s!r}")
-            shells.append(int(s))
+        if not isinstance(self.include_zero, (bool, np.bool_)):
+            raise TypeError(f"include_zero must be a bool, got {self.include_zero!r}")
+        shells = [_integer(s, "shell value", TypeError) for s in self.support]
         if any(s < 0 for s in shells):
             raise ValueError("shell values must be non-negative")
         if len(set(shells)) != len(shells):
@@ -105,16 +104,8 @@ class SupportSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SupportSpec":
-        if not isinstance(doc, dict):
-            raise ValueError("support document must be a JSON object")
-        try:
-            return cls(
-                SpinJ(doc["twice_j"]),
-                tuple(doc["support"]),
-                bool(doc.get("include_zero", False)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"support document missing field {exc}") from None
+        twice_j, support = _json_fields(doc, "support", "twice_j", "support[]")
+        return cls(SpinJ(twice_j), tuple(support), doc.get("include_zero", False))
 
 
 def fisher_matrix(psi: SpinState) -> FisherMatrix:

@@ -29,12 +29,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _checked_matrix(j: SpinJ, mat: np.ndarray, label: str) -> np.ndarray:
-    """mat itself, frozen, once its shape fits j and its entries are finite."""
+def _checked_matrix(j: SpinJ, mat: np.ndarray) -> np.ndarray:
+    """mat itself, frozen, once its shape fits j."""
     if mat.shape != (j.dim, j.dim):
         raise ValueError(f"matrix must be {j.dim}x{j.dim}, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"operator {label!r} matrix entries must be finite")
     return _frozen(mat)
 
 
@@ -50,6 +48,44 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
+    """value as an int: the first input rule, for every integer from outside
+    the library.  A bool is not an integer, even where it would pass for 1,
+    and neither is a float, even 2.0, nor numpy's bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_array(values, dtype, what: str) -> np.ndarray:
+    """values as a new array of dtype, every entry a finite number: the second
+    input rule.  An all-boolean input is not numbers, even where True would
+    pass for 1.0."""
+    if np.asarray(values).dtype.kind == "b":
+        raise ValueError(f"{what} must be numbers, not booleans")
+    arr = np.array(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _json_fields(doc, what: str, *names: str) -> list:
+    """The fields `names` of a `what` document, which must be a JSON object that
+    has them all: the third input rule.  A name ending in [] is a field that
+    must be a list (amplitudes, codewords, shells, matrix rows)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    values = []
+    for name in names:
+        key = name.removesuffix("[]")
+        if key not in doc:
+            raise ValueError(f"{what} document missing field {key!r}")
+        if key != name and not isinstance(doc[key], list):
+            raise ValueError(f"{what} document field {key!r} must be a list, got {type(doc[key]).__name__}")
+        values.append(doc[key])
+    return values
+
+
 @dataclass(frozen=True)
 class SpinJ:
     """Total angular momentum, stored as 2J so half-integer values stay exact."""
@@ -57,11 +93,10 @@ class SpinJ:
     twice_j: int
 
     def __post_init__(self):
-        if isinstance(self.twice_j, bool) or not isinstance(self.twice_j, (int, np.integer)):
-            raise TypeError(f"twice_j must be an integer, got {type(self.twice_j).__name__}")
-        if self.twice_j < 0:
-            raise ValueError(f"twice_j must be non-negative, got {self.twice_j}")
-        object.__setattr__(self, "twice_j", int(self.twice_j))
+        twice_j = _integer(self.twice_j, "twice_j", TypeError)
+        if twice_j < 0:
+            raise ValueError(f"twice_j must be non-negative, got {twice_j}")
+        object.__setattr__(self, "twice_j", twice_j)
 
     @property
     def j(self) -> float:
@@ -84,6 +119,7 @@ class SpinJ:
 
     def index_of(self, twice_m: int) -> int:
         """Amplitude index of the level with 2m = twice_m."""
+        twice_m = _integer(twice_m, "twice_m")
         if (self.twice_j - twice_m) % 2 != 0 or abs(twice_m) > self.twice_j:
             raise ValueError(f"2m={twice_m} is not a level of 2J={self.twice_j}")
         return (self.twice_j - twice_m) // 2
@@ -97,13 +133,11 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = _finite_array(self.amplitudes, complex, "amplitudes")
         if amps.shape != (self.j.dim,):
             raise ValueError(
                 f"amplitude vector must have length {self.j.dim}, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
         # one |amp| above 1 already breaks the norm; it is caught here, before
         # any square could overflow (a hypot gives inf, with no warning)
         mag = np.abs(amps)
@@ -134,13 +168,8 @@ class SpinState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpinState":
-        if not isinstance(doc, dict):
-            raise ValueError("spin state document must be a JSON object")
-        try:
-            j = SpinJ(doc["twice_j"])
-            entries = doc["amplitudes"]
-        except KeyError as exc:
-            raise ValueError(f"spin state document missing field {exc}") from None
+        twice_j, entries = _json_fields(doc, "spin state", "twice_j", "amplitudes[]")
+        j = SpinJ(twice_j)
         amps = np.zeros(j.dim, dtype=complex)
         seen = set()
         for entry in entries:
@@ -149,10 +178,8 @@ class SpinState:
                 value = complex(re, im)
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad amplitude entry {entry!r}: {exc}") from None
-            # as for twice_j: a bool or a float is not a level, even where it
-            # would pass for one; nor is a bool an amplitude part
-            if isinstance(twice_m, bool) or not isinstance(twice_m, (int, np.integer)):
-                raise ValueError(f"m_times_2 must be an integer, got {twice_m!r}")
+            twice_m = _integer(twice_m, "m_times_2")
+            # a bool is not an amplitude part either, even where it would pass for 1.0
             if isinstance(re, bool) or isinstance(im, bool):
                 raise ValueError(f"re and im must be numbers, got {re!r} and {im!r}")
             if twice_m in seen:
@@ -196,8 +223,8 @@ class SpinOperator:
     )
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", _checked_matrix(self.j, mat, self.label))
+        mat = _finite_array(self.matrix, complex, f"operator {self.label!r} matrix entries")
+        object.__setattr__(self, "matrix", _checked_matrix(self.j, mat))
 
     def __getattr__(self, name):
         # only reached while the attribute is unset: `matrix` of an operator
@@ -205,7 +232,11 @@ class SpinOperator:
         form = self.__dict__.get("_form")
         if name != "matrix" or form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = self.__dict__["matrix"] = _checked_matrix(self.j, form.dense(), self.label)
+        mat = form.dense()
+        # checked as a matrix given to the constructor is, but with no d x d copy
+        if not np.isfinite(mat).all():
+            raise ValueError(f"operator {self.label!r} matrix entries must be finite")
+        mat = self.__dict__["matrix"] = _checked_matrix(self.j, mat)
         return mat
 
     @classmethod
@@ -270,22 +301,19 @@ class SpinOperator:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpinOperator":
-        if not isinstance(doc, dict):
-            raise ValueError("operator document must be a JSON object")
-        try:
-            j = SpinJ(doc["twice_j"])
-            re = _number_matrix(doc["matrix_re"])
-            im = _number_matrix(doc["matrix_im"])
-        except KeyError as exc:
-            raise ValueError(f"operator document missing field {exc}") from None
+        twice_j, re, im = _json_fields(doc, "operator", "twice_j", "matrix_re[]", "matrix_im[]")
+        re, im = _number_matrix(re), _number_matrix(im)
         if re.shape != im.shape:
             raise ValueError("matrix_re and matrix_im shapes differ")
-        return cls(j, re + 1j * im, label=str(doc.get("label", "")))
+        return cls(SpinJ(twice_j), re + 1j * im, label=str(doc.get("label", "")))
 
 
-def _number_matrix(rows) -> np.ndarray:
-    """A JSON matrix as floats; a boolean entry is not a number, even where
-    it would pass for 1.0 or 0.0 (as for SpinState amplitude parts)."""
+def _number_matrix(rows: list) -> np.ndarray:
+    """A JSON matrix, a list of rows, as floats; a boolean entry is not a
+    number, even where it would pass for 1.0 or 0.0 (as for SpinState
+    amplitude parts)."""
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix_re and matrix_im rows must be lists")
     entries = np.asarray(rows, dtype=object)
     if any(isinstance(v, bool) for v in entries.flat):
         raise ValueError("matrix_re and matrix_im entries must be numbers, not booleans")
@@ -299,11 +327,9 @@ class RotationAxis:
     u: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.u, dtype=float)
+        vec = _finite_array(self.u, float, "axis components")
         if vec.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"axis components must be finite, got {vec.tolist()}")
         if abs(np.linalg.norm(vec) - 1.0) > AXIS_TOL:
             raise ValueError(f"axis must be a unit vector, |u| = {np.linalg.norm(vec)!r}")
         object.__setattr__(self, "u", _frozen(vec))
@@ -311,10 +337,8 @@ class RotationAxis:
     @classmethod
     def from_vector(cls, v: Iterable[float]) -> "RotationAxis":
         """Normalize an arbitrary nonzero 3-vector into an axis."""
-        vec = np.asarray(list(v), dtype=float)
+        vec = _finite_array(list(v), float, "axis components")
         big = float(np.max(np.abs(vec), initial=0.0))
-        if not math.isfinite(big):
-            raise ValueError(f"axis components must be finite, got {vec.tolist()}")
         if big == 0.0:
             raise ValueError("cannot normalize the zero vector into an axis")
         # scaled first by the power of two at the largest |component|, so the

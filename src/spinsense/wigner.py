@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin import MAX_DENSE_TWICE_J, SpinJ, SpinOperator, SpinState, _BandForm, _spin_table, apply
+from .spin import MAX_DENSE_TWICE_J, SpinJ, SpinOperator, SpinState, _BandForm, _integer, _spin_table, apply
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,10 +44,7 @@ class ThreeJArgs:
 
     def __post_init__(self):
         for name in ("j1", "j2", "j3", "m1", "m2", "m3"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer twice-value")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), f"twice-value {name}", TypeError))
         for jn, mn in (("j1", "m1"), ("j2", "m2"), ("j3", "m3")):
             jv, mv = getattr(self, jn), getattr(self, mn)
             if jv < 0:
@@ -63,7 +60,6 @@ def three_j(args: ThreeJArgs) -> float:
     return _three_j_twice(args.j1, args.j2, args.j3, args.m1, args.m2, args.m3)
 
 
-@lru_cache(maxsize=65536)
 def _three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
     # callers pass only |m| <= j with the parity of j (ThreeJArgs, we_expectation)
     if tm1 + tm2 + tm3 != 0:
