@@ -60,9 +60,12 @@ def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
 def _finite_array(values, dtype, what: str) -> np.ndarray:
     """values as a new array of dtype, every entry a finite number: the second
     input rule.  An all-boolean input is not numbers, even where True would
-    pass for 1.0."""
-    if np.asarray(values).dtype.kind == "b":
+    pass for 1.0, and a complex input to a real dtype is refused, not cast."""
+    kind = np.asarray(values).dtype.kind
+    if kind == "b":
         raise ValueError(f"{what} must be numbers, not booleans")
+    if kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{what} must be real, got complex numbers")
     arr = np.array(values, dtype=dtype)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
@@ -568,13 +571,6 @@ def _parity_columns(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     return n[twice_j % 2 :: 2], n[1 - twice_j % 2 :: 2]
 
 
-def _row_counts(twice_j: int) -> np.ndarray:
-    """How many rows of D' each of its top ceil(d/2) rows stands for: 2, or 1 for the centre row."""
-    counts = np.full(twice_j // 2 + 1, 2.0)
-    counts[(twice_j + 1) // 2 :] = 1.0
-    return counts
-
-
 def _unfolded(twice_j: int, basis: _WignerBasis) -> np.ndarray:
     """The d x d basis D' from its quarter (_WignerBasis), by exact sign flips:
     row d-1-i of column n is rho_i sigma_n times row i, rho_i = R_i R_{d-1-i},
@@ -614,14 +610,26 @@ def _wigner_basis(twice_j: int) -> _WignerBasis:
     eigenvector of R Jx R for lambda to one for -lambda, so column 2J - n is
     S times column n.  The columns are normalized with the mirrored rows
     counted, and D' follows from its top ceil(d/2) rows of the columns with
-    lambda <= 0 by exact sign flips (_unfolded).
+    lambda <= 0 by exact sign flips (_unfolded).  The recurrence runs in q
+    itself, which is kept (d^2 / 4 floats, 32 MB at 2J = 4096); the build
+    peaks at about 1.5 q.nbytes, q and the squares of one parity block.
     """
     _check_dense_limit(twice_j)
     dim, top, low = twice_j + 1, twice_j // 2 + 1, (twice_j + 1) // 2
     e = _spin_table(twice_j).c / 2.0
-    lam = np.arange(top) - twice_j / 2.0
-    x = np.empty((top, top))
-    x[0] = 1.0
+    columns = _parity_columns(twice_j)
+    width = (top + 1) // 2
+    q = np.zeros((2, top, width))
+    twice_lam = np.zeros((2, width, 1))
+    weight = np.ones((2, width, 1))
+    for c, n in enumerate(columns):
+        q[c, 0, : len(n)] = 1.0
+        twice_lam[c, : len(n), 0] = 2 * n - twice_j
+        # the lambda = 0 column is its own image, S x = x to the bit (x_k = 0 at
+        # odd k, since x_1 = 0 / e_0): the fold reads it twice, at half weight
+        weight[c, : len(n), 0] = np.where(2 * n == twice_j, 0.5, 1.0)
+    # row k of both parity blocks; the pad column starts at 0 with lambda = 0 and stays 0
+    x, lam = q.transpose(1, 0, 2), twice_lam[:, :, 0] / 2.0
     if top > 1:
         x[1] = lam / e[0]
     for k in range(1, top - 1):
@@ -630,23 +638,17 @@ def _wigner_basis(twice_j: int) -> _WignerBasis:
         row /= e[k]
         if np.abs(row).max() > _RESCALE:
             x[: k + 2, np.abs(row) > _RESCALE] *= 1.0 / _RESCALE
-    columns = _parity_columns(twice_j)
     if dim % 2:
-        x[-1, columns[1]] = 0.0
-    x /= np.sqrt(_row_counts(twice_j) @ (x * x))
-    x[2::4] *= -1.0
-    x[3::4] *= -1.0
+        q[1, -1] = 0.0
+    # each top row stands for two rows of D', the centre row for one
+    counts = np.where(np.arange(top) < low, 2.0, 1.0)
+    for block, n in zip(q, columns):
+        norm = counts @ (block * block)
+        norm[len(n) :] = 1.0
+        block /= np.sqrt(norm)
+    q[:, 2::4] *= -1.0
+    q[:, 3::4] *= -1.0
 
-    width = (top + 1) // 2
-    q = np.zeros((2, top, width))
-    twice_lam = np.zeros((2, width, 1))
-    weight = np.ones((2, width, 1))
-    for c, n in enumerate(columns):
-        q[c, :, : len(n)] = x[:, n]
-        twice_lam[c, : len(n), 0] = 2 * n - twice_j
-        # the lambda = 0 column is its own image, S x = x to the bit (x_k = 0 at
-        # odd k, since x_1 = 0 / e_0): the fold reads it twice, at half weight
-        weight[c, : len(n), 0] = np.where(2 * n == twice_j, 0.5, 1.0)
     # fold[0] and fold[1] scale the top rows and the reversed bottom rows of a
     # block into the inputs of q[c]^T for the columns n (part 0) and their
     # images 2J - n (part 1); the unfold takes back the same signs
@@ -676,19 +678,19 @@ def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.nd
     (W z)_n = cos(beta lambda_n) z_n + sin(beta lambda_n) z_{2J-n}.  W is
     orthogonal, since column 2J - n of D' is S times column n.
 
-    Up to 2J = _UNFOLDED_MAX_TWICE_J, and for the matrix, the two passes read the
-    unfolded D'; with y None, z is D'^T itself, and there is no product with
-    the identity.  Above, a block is folded onto the top t rows,
-    u+- = y_top +- rho y_bottom (y_bottom in reversed row order, rho_i =
-    R_i R_{d-1-i}), and the two passes read the quarter q (_WignerBasis):
-    z_n = q_n^T u_sigma_n, and for the image 2J - n, S u+- folds to s u+-
-    at odd d and to s u-+ at even d.  The unfold is the transpose of the fold.
+    Up to 2J = _UNFOLDED_MAX_TWICE_J the two passes read the unfolded D'; with
+    y None, z is D'^T itself, and there is no product with the identity.
+    Above, a block is folded onto the top t rows, u+- = y_top +- rho y_bottom
+    (y_bottom in reversed row order, rho_i = R_i R_{d-1-i}), and the two
+    passes read the quarter q (_WignerBasis): z_n = q_n^T u_sigma_n, and for
+    the image 2J - n, S u+- folds to s u+- at odd d and to s u-+ at even d.
+    The unfold is the transpose of the fold.  The matrix there takes its top
+    t rows a block at a time, row k as column k of d(-beta), whose z is row k
+    of D' read off q, and the other rows by d_{-m',-m} = (-1)^(m'-m) d_{m'm}.
     """
     basis = _wigner_basis(j.twice_j)
     full = basis.full
-    if y is None or full is not None:
-        if full is None:
-            full = _unfolded(j.twice_j, basis)
+    if full is not None:
         # z^T = y^T D' and D' (W z) = ((W z)^T D'^T)^T: with OpenBLAS on one thread
         # this order takes two thirds of the time of D'^T y at 2J = 1000 for a d x 2 block
         zt = full if y is None else y.T @ full
@@ -698,7 +700,20 @@ def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.nd
         w += zt[:, ::-1] * np.sin(angle)
         return (w @ full.T).T
     q, fold = basis.q, basis.fold
-    top, width = q.shape[1], q.shape[2]
+    dim, top, width = j.dim, q.shape[1], q.shape[2]
+    if y is None:
+        out = np.empty((dim, dim))
+        step = -(-top // 16)
+        for start in range(0, top, step):
+            rows = slice(start, min(start + step, top))
+            # row k of D': q[c, k] for the columns n, s_k q[c, k] for their images
+            z = q[:, rows].transpose(0, 2, 1)[..., None] * fold[0, 0, :, 0, rows].T
+            out[rows] = _turned(basis, z.reshape(2, width, -1), -beta, dim)
+        alternate = np.where(np.arange(dim) % 2, -1.0, 1.0)
+        bottom = out[top:]
+        np.multiply(out[: dim - top][::-1, ::-1], alternate, out=bottom)
+        bottom *= alternate[top:, None]
+        return out
     # the elementwise steps run with the row index innermost, the products with
     # (column of y, n or 2J - n) innermost: OpenBLAS on one thread ran q (W z)
     # in that layout in about 40 % of the time of the transposed one at
@@ -708,12 +723,20 @@ def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.nd
     g = fold[0] * yt[:, :top]
     g += fold[1] * yt[:, : -top - 1 : -1]
     z = q.transpose(0, 2, 1) @ np.ascontiguousarray(g.transpose(0, 3, 2, 1)).reshape(2, top, -1)
+    return _turned(basis, z, beta, dim).T
+
+
+def _turned(basis: _WignerBasis, z: np.ndarray, beta: float, dim: int) -> np.ndarray:
+    """(D' W z)^T for z = D'^T y in the layout of _wigner_small_d: parity c by
+    column n by (column of y, n or 2J - n)."""
+    q, fold = basis.q, basis.fold
+    top = q.shape[1]
     # W turns each pair (z_n, z_{2J-n}) by beta lambda_n: z_n + i z_{2J-n} times e^{-i beta lambda_n}
     w = z.view(complex) * (np.exp(basis.twice_lam * (-0.5j * beta)) * basis.weight)
     r = np.ascontiguousarray((q @ w.view(float)).reshape(2, top, -1, 2).transpose(0, 3, 2, 1))
     # the unfold: top rows (s = 0) and reversed bottom rows (s = 1)
     out = np.einsum("scpkt,cpkt->skt", fold, r)
-    return np.concatenate((out[0], out[1, :, (j.dim - top) - 1 :: -1]), axis=1).T
+    return np.concatenate((out[0], out[1, :, (dim - top) - 1 :: -1]), axis=1)
 
 
 def _is_polar(u: RotationAxis) -> bool:
@@ -734,26 +757,55 @@ def _basis_certificate(twice_j: int) -> float:
     column and an image it is q_n^T diag(w s) q_m, s = (-1)^k, between columns
     of the same parity at odd d and of opposite parity at even d, and 0
     otherwise.  The lambda = 0 column has no image of its own.
+
+    The blocks are formed at half their value, G = P + M - o o^T/2 - I/2 with
+    P and M the plain products over the rows where s = +1 and s = -1 and o the
+    centre row, so no weighted copy of q is made, a quarter of the columns at
+    a time in two buffers of about q.nbytes / 8.  The certificate keeps a
+    float and peaks 0.25 q.nbytes above q, 0.45 at odd d with the product of
+    o.  Its round-off is that of the products; the order of summation moves e
+    by a few per cent of itself, far below the 1e-10 contract.
     """
     basis = _wigner_basis(twice_j)
     q = basis.q
-    wq = q * _row_counts(twice_j)[:, None]
-    # q^T diag(w) q over the rows where s = +1 and where s = -1: their sum is the
-    # Gram of each parity, their difference the same-parity block with diag(w s)
-    plus = q[:, 0::2].transpose(0, 2, 1) @ wq[:, 0::2]
-    minus = q[:, 1::2].transpose(0, 2, 1) @ wq[:, 1::2]
-    gram = plus + minus
-    for c, n in enumerate(_parity_columns(twice_j)):
-        gram[c, range(len(n)), range(len(n))] -= 1.0
-    if twice_j % 2:
-        cross = q[0, 0::2].T @ wq[1, 0::2] - q[0, 1::2].T @ wq[1, 1::2]
-        return math.sqrt(2.0 * np.sum(gram * gram) + 4.0 * np.sum(cross * cross))
-    cross = plus - minus
+    width = q.shape[2]
+    even, odd = q[:, 0::2], q[:, 1::2]
     # the lambda = 0 column, the one of weight 1/2, enters no block with an image of its own
     imaged = basis.weight[:, :, 0] == 1.0
-    pairs = gram * imaged[:, :, None] * imaged[:, None, :]
-    cross *= imaged[:, None, :]
-    return math.sqrt(np.sum(gram * gram) + np.sum(pairs * pairs) + 2.0 * np.sum(cross * cross))
+    span = -(-width // 4)
+    buffers = np.empty((2, 2 * width * span))
+    sums = np.zeros(3)  # of G^2, of the blocks between columns and images, of G^2 between images
+    for start in range(0, width, span):
+        cols = slice(start, min(start + span, width))
+        shape = (2, width, cols.stop - start)
+        gram, cross = (b[: math.prod(shape)].reshape(shape) for b in buffers)
+        np.matmul(even.transpose(0, 2, 1), even[:, :, cols], out=gram)
+        np.matmul(odd.transpose(0, 2, 1), odd[:, :, cols], out=cross)
+        gram += cross
+        if twice_j % 2:
+            np.matmul(q[0, 0::2].T, q[1, 0::2, cols], out=cross[0])
+            np.matmul(q[0, 1::2].T, q[1, 1::2, cols], out=cross[1])
+            cross = np.subtract(cross[0], cross[1], out=cross[0])
+        else:
+            cross *= -2.0
+            cross += gram
+            # o is 0 in the sigma = -1 block, and its row t - 1 has s = (-1)^(t-1)
+            half = np.multiply.outer(q[0, -1], 0.5 * q[0, -1, cols])
+            gram[0] -= half
+            (np.subtract if q.shape[1] % 2 else np.add)(cross[0], half, out=cross[0])
+        for c, n in enumerate(_parity_columns(twice_j)):
+            diag = np.arange(start, min(cols.stop, len(n)))
+            gram[c, diag, diag - start] -= 0.5
+        sums[0] += np.vdot(gram, gram)
+        if twice_j % 2 == 0:
+            cross *= imaged[:, None, cols]
+            gram *= imaged[:, :, None]
+            gram *= imaged[:, None, cols]
+            sums[2] += np.vdot(gram, gram)
+        sums[1] += np.vdot(cross, cross)
+    # E is 2 G among the columns and among the images, and 2 G' both ways between
+    # them, G' the cross blocks; at odd d the images lack the lambda = 0 column
+    return math.sqrt(sums @ ((8.0, 16.0, 0.0) if twice_j % 2 else (4.0, 8.0, 4.0)))
 
 
 def _phase_defect(phases: np.ndarray) -> float:

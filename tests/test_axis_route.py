@@ -32,6 +32,7 @@ from spinsense.spin import (
     _basis_certificate,
     _hermitian_defect,
     _ladder,
+    _parity_columns,
     _unfolded,
     _wigner_basis,
     _wigner_small_d,
@@ -293,6 +294,77 @@ def test_wigner_basis_at_the_cap():
     finally:
         _wigner_basis.cache_clear()
         _basis_certificate.cache_clear()
+
+
+def _traced_peak(build) -> tuple[object, int]:
+    """build() and the peak of what it allocated on top of what was traced before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+@pytest.mark.parametrize("twice_j", [1000, 1001])
+def test_cold_basis_and_certificate_allocate_about_what_they_keep(twice_j):
+    # the recurrence runs in q itself, the certificate in two slab buffers
+    _wigner_basis.cache_clear()
+    _basis_certificate.cache_clear()
+    try:
+        basis, build_peak = _traced_peak(lambda: _wigner_basis(twice_j))
+        _, certificate_peak = _traced_peak(lambda: _basis_certificate(twice_j))
+        assert build_peak <= 1.6 * basis.q.nbytes
+        assert certificate_peak <= basis.q.nbytes
+    finally:
+        _wigner_basis.cache_clear()
+        _basis_certificate.cache_clear()
+
+
+def _dense_certificate(twice_j: int) -> float:
+    d = _unfold(twice_j)
+    return float(np.linalg.norm(d.T @ d - np.eye(twice_j + 1)))
+
+
+@pytest.mark.parametrize("twice_j", [2, 3, 10, 11, 300, 301, 400, 401])
+def test_certificate_is_its_dense_definition(twice_j):
+    # on a clean basis both are round-off, summed in different orders; with the
+    # last stored column of one parity block bent by 1 + 1e-9, E is far above
+    # round-off, and at odd d one of the two is the lambda = 0 column
+    _wigner_basis.cache_clear()
+    _basis_certificate.cache_clear()
+    try:
+        assert _basis_certificate(twice_j) <= 1e-12
+        assert _dense_certificate(twice_j) <= 1e-12
+        for c, n in enumerate(_parity_columns(twice_j)):
+            if not len(n):
+                continue
+            q = _wigner_basis(twice_j).q
+            q.setflags(write=True)
+            q[c, :, len(n) - 1] *= 1.0 + 1e-9
+            _basis_certificate.cache_clear()
+            assert _basis_certificate(twice_j) == pytest.approx(_dense_certificate(twice_j), rel=1e-6)
+            q[c, :, len(n) - 1] /= 1.0 + 1e-9
+    finally:
+        _wigner_basis.cache_clear()
+        _basis_certificate.cache_clear()
+
+
+@pytest.mark.parametrize("twice_j", [301, 400, 1001])
+def test_small_d_matrix_from_the_quarter_is_the_unfolded_product(twice_j):
+    # above the fold the matrix takes its top rows from q and the others by
+    # d_{-m',-m} = (-1)^(m'-m) d_{m'm}; D' W D'^T over the unfolded D' is the
+    # route it replaces, and no d x d array is made beside the result
+    j = SpinJ(twice_j)
+    full = _unfold(twice_j)
+    for beta in (0.3, -1.7, math.pi):
+        angle = np.arange(-twice_j, twice_j + 1, 2) * (beta / 2.0)
+        want = ((full * np.cos(angle) + full[:, ::-1] * np.sin(angle)) @ full.T).T
+        d, peak = _traced_peak(lambda: _wigner_small_d(j, beta))
+        assert np.max(np.abs(d - want)) <= 1e-13
+        assert peak <= 1.5 * d.nbytes
 
 
 def test_axis_tag_is_not_data():
