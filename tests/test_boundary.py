@@ -39,11 +39,6 @@ CASES = [
     (classical_fisher, (Distribution([0.5, 0.5]), [False, False]), ValueError, "derivatives must be numbers"),
     (FisherMatrix, (np.full((3, 3), np.inf),), ValueError, "Fisher matrix entries must be finite"),
     (FisherMatrix, (np.diag([1.0, np.nan, 1.0]),), ValueError, "Fisher matrix entries must be finite"),
-    (RotationAxis, (np.array([1, 0, 1j]),), ValueError, "axis components must be real"),
-    (RotationAxis.from_vector, (np.array([1.0, 0.0, 1j]),), ValueError, "axis components must be real"),
-    (Distribution, (np.array([0.5 + 0.5j, 0.5]),), ValueError, "probabilities must be real"),
-    (classical_fisher, (Distribution([0.5, 0.5]), np.array([1j, -1j])), ValueError, "derivatives must be real"),
-    (FisherMatrix, (np.eye(3, dtype=complex),), ValueError, "Fisher matrix entries must be real"),
     (J12.index_of, (6.0,), ValueError, "twice_m must be an integer, got 6.0"),
     (basis_state, (J12, 6.0), ValueError, "twice_m must be an integer, got 6.0"),
     (noon_state(SpinJ(1)).amplitude, (True,), ValueError, "twice_m must be an integer, got True"),
@@ -92,6 +87,11 @@ CASES = [
         ValueError,
         "matrix_re and matrix_im rows must be lists",
     ),
+    (RotationAxis, (np.array([1, 0, 1j]),), ValueError, "axis components must be real"),
+    (RotationAxis.from_vector, (np.array([1.0, 0.0, 1j]),), ValueError, "axis components must be real"),
+    (Distribution, (np.array([0.5 + 0.5j, 0.5]),), ValueError, "probabilities must be real"),
+    (classical_fisher, (Distribution([0.5, 0.5]), np.array([1j, -1j])), ValueError, "derivatives must be real"),
+    (FisherMatrix, (np.eye(3, dtype=complex),), ValueError, "Fisher matrix entries must be real"),
 ]
 
 
