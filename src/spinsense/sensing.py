@@ -165,6 +165,11 @@ def _solve_shell_masses(values: Sequence[float], target: float) -> np.ndarray:
     With more than two shells the system is underdetermined; the mass
     vector of maximum Shannon entropy is used, which on the simplex is the
     unique p_k proportional to exp(-lam * values_k) matching the target.
+
+    [-1, 1] brackets lam whenever construct_anticoherent calls: its spacing rule
+    puts the k-th value m^2 from either end at least 4k from it; a target J(J+1)/3
+    off the vertices is at least 1/3 from both ends, as J(J+1) - 3 m^2 is an integer;
+    so at lam = -1 (+1) the moment is within sum 4k e^(-4k) < 0.08 of the top (bottom).
     """
     vals = np.asarray(values, dtype=float)
     lo, hi = float(vals.min()), float(vals.max())
@@ -187,14 +192,6 @@ def _solve_shell_masses(values: Sequence[float], target: float) -> np.ndarray:
         return float(masses(lam) @ vals) - target
 
     lo_l, hi_l = -1.0, 1.0
-    while moment_gap(lo_l) < 0.0:
-        lo_l *= 2.0
-        if lo_l < -1e6:
-            raise FeasibilityError("entropy solve failed to bracket the target moment")
-    while moment_gap(hi_l) > 0.0:
-        hi_l *= 2.0
-        if hi_l > 1e6:
-            raise FeasibilityError("entropy solve failed to bracket the target moment")
     # bisection down to the width brentq(xtol=1e-13, rtol=4 eps) would stop at
     eps = float(np.finfo(float).eps)
     while hi_l - lo_l > 1e-13 + 4.0 * eps * max(abs(lo_l), abs(hi_l)):

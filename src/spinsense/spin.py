@@ -535,13 +535,9 @@ def axis_generator(j: SpinJ, u: RotationAxis) -> SpinOperator:
     return SpinOperator._from_form(j, _BandForm(j.dim, bands, u), f"u.J[{ux:g},{uy:g},{uz:g}]")
 
 
-# The largest 2J at which _wigner_small_d multiplies a block by the unfolded
-# basis; above it, by the folded quarter.  Below about this size the fold's
-# fixed cost of about twenty numpy calls outweighs the reads it saves: a d x 2
-# block on one BLAS thread took 27 us folded against 17 us unfolded at
-# 2J = 150, 40 against 41 us at 300, 50 against 67 us at 400.
-_UNFOLDED_MAX_TWICE_J = 300
-# a column of the recurrence is scaled by 2**-300 once it passes 2**300
+# a column of the recurrence is scaled by 2**-300 once it passes 2**300.  This
+# first changes q at 2J = 1024 (not at 1023); without it the norm of a column
+# overflows from 2J = 1024 on, and q is non-finite from 2J = 2034
 _RESCALE = 2.0**300
 
 
@@ -554,37 +550,19 @@ class _WignerBasis(NamedTuple):
     ascending n, the shorter one padded with a zero column.  `fold` holds
     the signs that fold a d x k block onto the top rows and unfold it again,
     `twice_lam` the 2 lambda_n of each column, and `weight` 1, or 1/2 for
-    the lambda = 0 column, which is its own image.  `full` is the unfolded
-    d x d basis, built from q, up to 2J = _UNFOLDED_MAX_TWICE_J, and None above.
+    the lambda = 0 column, which is its own image.
     """
 
     q: np.ndarray
     fold: np.ndarray
     twice_lam: np.ndarray
     weight: np.ndarray
-    full: np.ndarray | None = None
 
 
 def _parity_columns(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     """The columns n < ceil(d/2) with sigma_n = (-1)^(2J - n) = +1, and those with -1."""
     n = np.arange(twice_j // 2 + 1)
     return n[twice_j % 2 :: 2], n[1 - twice_j % 2 :: 2]
-
-
-def _unfolded(twice_j: int, basis: _WignerBasis) -> np.ndarray:
-    """The d x d basis D' from its quarter (_WignerBasis), by exact sign flips:
-    row d-1-i of column n is rho_i sigma_n times row i, rho_i = R_i R_{d-1-i},
-    and column 2J - n is S = diag((-1)^k) times column n."""
-    dim, top, low = twice_j + 1, twice_j // 2 + 1, (twice_j + 1) // 2
-    out = np.empty((dim, dim))
-    sigma = np.empty(top)
-    for c, n in enumerate(_parity_columns(twice_j)):
-        out[:top, n] = basis.q[c, :, : len(n)]
-        sigma[n] = 1.0 - 2.0 * c
-    rho = basis.fold[1, 0, 0, 0, :low]
-    out[top:, :top] = (out[:low, :top] * np.multiply.outer(rho, sigma))[::-1]
-    out[:, top:] = out[:, :low][:, ::-1] * np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
-    return out
 
 
 @lru_cache(maxsize=4)
@@ -610,7 +588,7 @@ def _wigner_basis(twice_j: int) -> _WignerBasis:
     eigenvector of R Jx R for lambda to one for -lambda, so column 2J - n is
     S times column n.  The columns are normalized with the mirrored rows
     counted, and D' follows from its top ceil(d/2) rows of the columns with
-    lambda <= 0 by exact sign flips (_unfolded).  The recurrence runs in q
+    lambda <= 0 by exact sign flips (_wigner_small_d).  The recurrence runs in q
     itself, which is kept (d^2 / 4 floats, 32 MB at 2J = 4096); the build
     peaks at about 1.5 q.nbytes, q and the squares of one parity block.
     """
@@ -665,10 +643,7 @@ def _wigner_basis(twice_j: int) -> _WignerBasis:
     fold[1, 0, 1, 0] = parity * sign * rho
     fold[1, 1, 1, 0] = -parity * sign * rho
 
-    basis = _WignerBasis(*map(_frozen, (q, fold, twice_lam, weight)))
-    if twice_j > _UNFOLDED_MAX_TWICE_J:
-        return basis
-    return basis._replace(full=_frozen(_unfolded(twice_j, basis)))
+    return _WignerBasis(*map(_frozen, (q, fold, twice_lam, weight)))
 
 
 def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.ndarray:
@@ -678,32 +653,22 @@ def _wigner_small_d(j: SpinJ, beta: float, y: np.ndarray | None = None) -> np.nd
     (W z)_n = cos(beta lambda_n) z_n + sin(beta lambda_n) z_{2J-n}.  W is
     orthogonal, since column 2J - n of D' is S times column n.
 
-    Up to 2J = _UNFOLDED_MAX_TWICE_J the two passes read the unfolded D'; with
-    y None, z is D'^T itself, and there is no product with the identity.
-    Above, a block is folded onto the top t rows, u+- = y_top +- rho y_bottom
+    A block is folded onto the top t rows, u+- = y_top +- rho y_bottom
     (y_bottom in reversed row order, rho_i = R_i R_{d-1-i}), and the two
     passes read the quarter q (_WignerBasis): z_n = q_n^T u_sigma_n, and for
     the image 2J - n, S u+- folds to s u+- at odd d and to s u-+ at even d.
-    The unfold is the transpose of the fold.  The matrix there takes its top
+    The unfold is the transpose of the fold.  The matrix takes its top
     t rows a block at a time, row k as column k of d(-beta), whose z is row k
     of D' read off q, and the other rows by d_{-m',-m} = (-1)^(m'-m) d_{m'm}.
     """
     basis = _wigner_basis(j.twice_j)
-    full = basis.full
-    if full is not None:
-        # z^T = y^T D' and D' (W z) = ((W z)^T D'^T)^T: with OpenBLAS on one thread
-        # this order takes two thirds of the time of D'^T y at 2J = 1000 for a d x 2 block
-        zt = full if y is None else y.T @ full
-        # the diagonal of beta L, bit-equal to beta * lambda, in two numpy calls
-        angle = np.arange(-j.twice_j, j.twice_j + 1, 2) * (beta / 2.0)
-        w = zt * np.cos(angle)
-        w += zt[:, ::-1] * np.sin(angle)
-        return (w @ full.T).T
     q, fold = basis.q, basis.fold
     dim, top, width = j.dim, q.shape[1], q.shape[2]
     if y is None:
         out = np.empty((dim, dim))
-        step = -(-top // 16)
+        # at most 16 blocks, of at least 16 rows: a block's temporaries are about
+        # 8 x rows x d floats, and up to 2J = 31 one block makes the whole matrix
+        step = max(16, -(-top // 16))
         for start in range(0, top, step):
             rows = slice(start, min(start + step, top))
             # row k of D': q[c, k] for the columns n, s_k q[c, k] for their images
@@ -736,7 +701,8 @@ def _turned(basis: _WignerBasis, z: np.ndarray, beta: float, dim: int) -> np.nda
     r = np.ascontiguousarray((q @ w.view(float)).reshape(2, top, -1, 2).transpose(0, 3, 2, 1))
     # the unfold: top rows (s = 0) and reversed bottom rows (s = 1)
     out = np.einsum("scpkt,cpkt->skt", fold, r)
-    return np.concatenate((out[0], out[1, :, (dim - top) - 1 :: -1]), axis=1)
+    # the bottom d - t rows, reversed back: none at 2J = 0
+    return np.concatenate((out[0], out[1, :, : dim - top][:, ::-1]), axis=1)
 
 
 def _is_polar(u: RotationAxis) -> bool:

@@ -27,13 +27,11 @@ from spinsense import (
 )
 from spinsense.metrics import _SurvivalModel
 from spinsense.spin import (
-    _UNFOLDED_MAX_TWICE_J,
     _axis_spectrum,
     _basis_certificate,
     _hermitian_defect,
     _ladder,
     _parity_columns,
-    _unfolded,
     _wigner_basis,
     _wigner_small_d,
     spin_moments,
@@ -143,14 +141,12 @@ def test_small_d_matches_expm_at_larger_spins(twice_j):
 
 @pytest.mark.parametrize("twice_j", list(range(0, 14)) + [100, 101, 400])
 def test_basis_columns_mirror_to_the_bit(twice_j):
-    # the library's unfolded basis is the entry-by-entry unfolding, to the bit,
-    # so the mirror (S = diag((-1)^k) takes the eigenvector for lambda to one for
-    # -lambda) and the row parity hold exactly; and every column of it, mirrored
-    # rows and images included, is an eigenvector of R Jx R for its lambda
+    # the entry-by-entry unfolding of the quarter keeps the mirror (S = diag((-1)^k)
+    # takes the eigenvector for lambda to one for -lambda) and the row parity
+    # exactly; and every column of it, mirrored rows and images included, is an
+    # eigenvector of R Jx R for its lambda
     basis = _wigner_basis(twice_j)
     d = _unfold(twice_j)
-    assert np.array_equal(_unfolded(twice_j, basis), d)
-    assert basis.full is None or np.array_equal(basis.full, d)
     dim, top = twice_j + 1, twice_j // 2 + 1
     sign = (-1.0) ** np.arange(dim)
     for n in range(dim // 2):
@@ -258,10 +254,7 @@ def test_wigner_basis_is_cached_capped_and_frozen():
     for twice_j in (6, 401):
         basis = _wigner_basis(twice_j)
         assert _wigner_basis(twice_j) is basis
-        stored = [basis.q, basis.fold, basis.twice_lam, basis.weight]
-        # the unfolded basis is kept only where the kernel reads it
-        assert (basis.full is None) == (twice_j > _UNFOLDED_MAX_TWICE_J)
-        for a in stored + ([] if basis.full is None else [basis.full]):
+        for a in basis:
             assert not a.flags.writeable
         # the quarter: top ceil(d/2) rows of the ceil(d/2) columns with lambda <= 0
         assert basis.q.shape == (2, twice_j // 2 + 1, (twice_j // 2 + 2) // 2)
@@ -354,9 +347,9 @@ def test_certificate_is_its_dense_definition(twice_j):
 
 @pytest.mark.parametrize("twice_j", [301, 400, 1001])
 def test_small_d_matrix_from_the_quarter_is_the_unfolded_product(twice_j):
-    # above the fold the matrix takes its top rows from q and the others by
+    # the matrix takes its top rows from q and the others by
     # d_{-m',-m} = (-1)^(m'-m) d_{m'm}; D' W D'^T over the unfolded D' is the
-    # route it replaces, and no d x d array is made beside the result
+    # plain product it stands for, and no d x d array is made beside the result
     j = SpinJ(twice_j)
     full = _unfold(twice_j)
     for beta in (0.3, -1.7, math.pi):
@@ -479,12 +472,11 @@ def test_axis_route_at_large_spin_matches_the_moments(twice_j):
 
 @pytest.mark.parametrize("twice_j", [100, 101, 400, 401])
 def test_small_d_matches_one_full_product(twice_j):
-    # odd and even d, on both sides of the fold: the mirrored-column form
+    # odd and even d, at 2J about 100 and 400: the mirrored-column form
     # D' W D'^T gives every entry of the independent form
     # D' cos(bL) D'^T + T D' sin(bL) D'^T, with T folded into the rows of D',
     # for the matrix and for a block
     j = SpinJ(twice_j)
-    assert (_wigner_basis(twice_j).full is None) == (twice_j > _UNFOLDED_MAX_TWICE_J)
     basis = _unfold(twice_j)
     lam = j.m_values()[::-1]
     odd = np.arange(j.dim) % 2 == 1

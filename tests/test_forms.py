@@ -35,7 +35,6 @@ from spinsense.spin import (
     _hermitian_defect,
     _ladder,
     _standard_operator,
-    _unfolded,
     _wigner_basis,
     _wigner_small_d,
 )
@@ -95,8 +94,7 @@ def test_forms_agree_with_their_dense_matrices(twice_j, seed, theta, kind):
 
 
 def test_a_corrupted_basis_fails_the_unitary_check():
-    # one stored column of the quarter q off by 1e-9, below the fold (where the
-    # kernel reads the unfolded basis, rebuilt here from the bent q) and above it
+    # one stored column of the quarter q off by 1e-9, at a small and a large spin
     for twice_j in (40, 400):
         j = SpinJ(twice_j)
         psi = random_state(j, np.random.default_rng(4))
@@ -108,9 +106,6 @@ def test_a_corrupted_basis_fails_the_unitary_check():
             basis = _wigner_basis(twice_j)
             basis.q.setflags(write=True)
             basis.q[0, :, 3] *= 1.0 + 1e-9
-            if basis.full is not None:
-                basis.full.setflags(write=True)
-                basis.full[:] = _unfolded(twice_j, basis)
             bent = rotation_unitary(j, 0.3, axis)
             with pytest.raises(ValueError, match="not unitary"):
                 error_of_state(psi, bent)
@@ -302,3 +297,26 @@ def test_standard_operators_take_the_axis_route():
         # a formless twin still takes the eigendecomposition, to within 1e-13
         twin = generator_unitary(SpinOperator(j, op.matrix, op.label), 0.3)
         assert twin._form is None and np.abs(rot.matrix - twin.matrix).max() <= 1e-13
+
+
+@pytest.mark.parametrize("twice_j", [0, 10, 101])
+def test_unitary_bound_is_its_formula_and_holds_on_bent_phases(twice_j):
+    # D_a and D_c bent by 1 + 1e-6 and 1 + 2e-6, so delta_a and delta_c are
+    # about 2e-6 and 4e-6, far above the basis term eps_M.  Bent uniformly, U is
+    # the rotation times (1 + 1e-6)(1 + 2e-6), and ||U^dag U - I||_2 is the bound
+    # less eps_M terms: a flipped sign in the bound lowers it below the dense
+    # defect, by 2 delta_a delta_c or more, far beyond the d eps of round-off allowed
+    j = SpinJ(twice_j)
+    u = rotation_unitary(j, 0.9, RotationAxis.from_vector([0.4, -0.7, 0.2]))
+    form = u._form
+    form.outer = form.outer * (1.0 + 1e-6)
+    form.inner = form.inner * (1.0 + 2e-6)
+    delta_a = float(np.max(np.abs(np.abs(form.outer) ** 2 - 1.0)))
+    delta_c = float(np.max(np.abs(np.abs(form.inner) ** 2 - 1.0)))
+    e = _basis_certificate(twice_j)
+    eps_m = e * (2.0 + e)
+    bound = form.unitary_bound()
+    assert bound == pytest.approx((1.0 + delta_c) * (eps_m + (1.0 + eps_m) * delta_a) + delta_c, rel=1e-9)
+    defect = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(j.dim), 2)
+    assert defect >= delta_a + delta_c
+    assert bound >= defect - j.dim * np.finfo(float).eps

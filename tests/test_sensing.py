@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from spinsense import (
     rotation_qfi,
 )
 from helpers import random_state, random_symmetric_state
+from spinsense import sensing
 
 
 def test_fisher_matrix_noon_j5():
@@ -253,3 +255,37 @@ def test_j_zero_is_its_own_anticoherent_state():
     rep = anticoherence_report(psi, 1e-12)
     assert rep.order1 and rep.order2
     assert rep.max_first_moment == 0.0 and rep.max_matrix_deviation == 0.0
+
+
+def test_every_entropy_solve_is_bracketed_by_minus_one_and_one(monkeypatch):
+    # every support of 3 to 7 shells at 2J <= 24 that reaches the solve: the
+    # target sits at least 1/3 from both end values, and at lam = -1 (+1) the
+    # moment lies within sum 4k e^(-4k) < 0.08 of the top (bottom) end value,
+    # so [-1, 1] brackets lam with no search (sensing._solve_shell_masses)
+    seen = []
+    solve = sensing._solve_shell_masses
+
+    def recorded(values, target):
+        seen.append((np.array(values), target))
+        return solve(values, target)
+
+    monkeypatch.setattr(sensing, "_solve_shell_masses", recorded)
+    for twice_j in range(0, 25, 2):
+        for size in range(3, 8):
+            for shells in itertools.combinations(range(twice_j // 2 + 1), size):
+                before = len(seen)
+                try:
+                    construct_anticoherent(SupportSpec(SpinJ(twice_j), shells))
+                except (FeasibilityError, SpacingError):
+                    assert len(seen) == before  # refused before the solve
+    # the suspect {0, 1, 2} with its target 4 at 2J = 6 is refused by its spacing
+    with pytest.raises(SpacingError):
+        construct_anticoherent(SupportSpec(SpinJ(6), (0, 1, 2)))
+    solved = [(v, t) for v, t in seen if min(t - v.min(), v.max() - t) > 1e-12 * t]
+    assert len(solved) == len(seen) == 854
+    for values, target in solved:
+        assert min(target - values.min(), values.max() - target) >= 1.0 / 3.0 - 1e-12
+        for lam, end in ((-1.0, values.max()), (1.0, values.min())):
+            logits = -lam * values
+            masses = np.exp(logits - logits.max())
+            assert abs(masses @ values / masses.sum() - end) < 0.08
