@@ -12,10 +12,12 @@ from .spin import (
     SpinJ,
     SpinOperator,
     SpinState,
+    _angle,
     _apply_block,
     _frozen,
     _integer,
     _json_fields,
+    _orthogonal_part,
     apply,
     check_tolerance,
     expectation_and_variance,
@@ -171,16 +173,16 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float) -> ConditionReport:
 
 
 def error_of_state(psi: SpinState, u: SpinOperator) -> float:
-    """Leakage probability 1 - |<psi|U|psi>|^2 of a unitary error."""
+    """Leakage 1 - |<psi|U|psi>|^2 of a unitary error, from the _orthogonal_part of U psi."""
     if not u.is_unitary():
         raise ValueError(f"operator {u.label!r} is not unitary")
-    ov = abs(complex(np.vdot(psi.amplitudes, apply(u, psi))))
-    return min(max(1.0 - ov * ov, 0.0), 1.0)
+    ov, orth = _orthogonal_part(psi.amplitudes, apply(u, psi))
+    return orth / (orth + abs(ov) ** 2)
 
 
 def error_small_theta(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """Small-angle error theta^2 (<G^2> - <G>^2) of exp(-i theta G)."""
-    if not abs(theta) <= SMALL_THETA_MAX:
+    if not abs(_angle(theta)) <= SMALL_THETA_MAX:
         raise ValueError(f"|theta| must be <= {SMALL_THETA_MAX} for the small-angle form, got {theta!r}")
     _, var = expectation_and_variance(psi, g)
     return theta * theta * var
@@ -189,18 +191,15 @@ def error_small_theta(psi: SpinState, g: SpinOperator, theta: float) -> float:
 def error_with_recovery(psi: SpinState, errors: ErrorSet, recoveries: RecoverySet) -> float:
     """Residual error sum over all (recovery, error) pairs after recovery.
 
-    Evaluates sum_{a,r} <E^dag R^dag R E> - |<R E>|^2 for the given state,
-    unweighted, exactly as the condition is stated (no channel weights).
+    Evaluates sum_{a,r} <E^dag R^dag R E> - |<R E>|^2, each term the _orthogonal_part
+    of R E psi, unweighted, exactly as the condition is stated (no channel weights).
     """
     if errors.j != psi.j or recoveries.j != psi.j:
         raise ValueError("operator dimensions do not match the state")
-    total = 0.0
-    for err in errors.ops:
-        img = _apply_block(err, psi.amplitudes)
-        for rec in recoveries.ops:
-            w = _apply_block(rec, img)
-            total += float(np.real(np.vdot(w, w))) - abs(complex(np.vdot(psi.amplitudes, w))) ** 2
-    return max(total, 0.0)
+    amps = psi.amplitudes
+    images = [_apply_block(err, amps) for err in errors.ops]
+    terms = (_orthogonal_part(amps, _apply_block(r, img))[1] for img in images for r in recoveries.ops)
+    return math.fsum(terms)
 
 
 def max_error_over_code(
@@ -251,7 +250,7 @@ def max_error_over_code(
     one of A1 on the cluster.  The returned error is theta^2 times the
     variance at the returned state.  Deterministic.
     """
-    if not abs(theta) <= SMALL_THETA_MAX:
+    if not abs(_angle(theta)) <= SMALL_THETA_MAX:
         raise ValueError(f"|theta| must be <= {SMALL_THETA_MAX} for the small-angle form, got {theta!r}")
     if not g.is_hermitian():
         raise ValueError(f"operator {g.label!r} is not Hermitian")

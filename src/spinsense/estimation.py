@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _SurvivalModel, qfi
-from .spin import SpinOperator, SpinState, _frozen, _integer
+from .spin import SpinOperator, SpinState, _angle, _frozen, _integer
 
 _BISECT_TOL = 1e-12
 # angles of the table that brackets every target of _invert_monotone
@@ -93,7 +93,7 @@ class EstimationResult:
 
 def survival_probability(psi: SpinState, g: SpinOperator, theta: float) -> float:
     """P(theta) = |<psi|exp(-i theta G)|psi>|^2, clipped into [0, 1]."""
-    if not math.isfinite(theta):
+    if not math.isfinite(_angle(theta)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     return float(_SurvivalModel(psi, g).evaluate(float(theta))[0][0])
 
@@ -171,7 +171,7 @@ def _invert_monotone(
     or holds no float strictly inside (at angles whose float spacing
     exceeds _BISECT_TOL), and returns the bracket's midpoint.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = float(_angle(bracket[0], "bracket end")), float(_angle(bracket[1], "bracket end"))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite, got {bracket!r}")
     if not lo < hi:

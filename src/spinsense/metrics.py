@@ -18,6 +18,7 @@ from .spin import (
     _banded,
     _finite_array,
     _hermitian_defect,
+    _orthogonal_part,
     apply,
     expectation_and_variance,
 )
@@ -156,24 +157,15 @@ def statistical_distance(p: Distribution, q: Distribution) -> StatisticalDistanc
     return StatisticalDistance(omega=math.acos(bc), bhattacharyya=bc)
 
 
-def _overlap_angle(psi_amps: np.ndarray, phi_amps: np.ndarray) -> tuple[float, float, float]:
-    """(angle, sin, cos) of arccos|<psi|phi>|, evaluated without the
-    catastrophic cancellation of arccos near overlap 1: the sine comes from
-    the norm of the component of phi orthogonal to psi."""
-    ov = complex(np.vdot(psi_amps, phi_amps))
-    c = abs(ov)
-    s = float(np.linalg.norm(phi_amps - ov * psi_amps))
-    h = math.hypot(s, c)
-    return math.atan2(s, c), s / h, min(c / h, 1.0)
-
-
 def distinguishability(psi: SpinState, phi: SpinState) -> DistinguishabilityReport:
-    """Maximal statistical distance between two pure states over all
-    projective measurements: arccos of the overlap magnitude."""
+    """Maximal statistical distance over all projective measurements, arccos|<psi|phi>|:
+    its sine is the _orthogonal_part of phi, so it does not cancel near overlap 1."""
     if psi.j != phi.j:
         raise ValueError(f"dimension mismatch: 2J={psi.j.twice_j} vs 2J={phi.j.twice_j}")
-    angle, s, c = _overlap_angle(psi.amplitudes, phi.amplitudes)
-    return DistinguishabilityReport(angle=angle, sin_angle=s, cos_angle=c)
+    ov, orth = _orthogonal_part(psi.amplitudes, phi.amplitudes)
+    s, c = math.sqrt(orth), abs(ov)
+    h = math.hypot(s, c)
+    return DistinguishabilityReport(math.atan2(s, c), s / h, min(c / h, 1.0))
 
 
 def classical_fisher(probs: Distribution, dprobs: Sequence[float]) -> float:
@@ -207,18 +199,15 @@ def qfi_finite_difference(psi: SpinState, g: SpinOperator, theta_step: float) ->
 
     One-sided quotient 4 (Lambda(step)/step)^2; Lambda is even in theta
     around 0 (and nonsmooth there in the signed sense), so a central
-    difference would be wrong.  Serves as the independent oracle for `qfi`.
-    In the eigenbasis of G the overlap is the survival amplitude ov and the
-    orthogonal part is sqrt(sum_k w_k |e^{-i step lambda_k} - ov|^2), which
-    avoids the cancellation of arccos near overlap 1.
+    difference would be wrong.  Serves as the independent oracle for `qfi`: Lambda
+    is the angle of the _orthogonal_part of sqrt(w) e^{-i step lambda} to sqrt(w).
     """
     if not 0.0 < theta_step <= 1e-2:
         raise ValueError(f"theta_step must lie in (0, 1e-2], got {theta_step!r}")
     model = _SurvivalModel(psi, g)
-    phases, ov = model.amplitude(theta_step)
-    orth = math.sqrt(float(np.sum(model.weights * np.abs(phases[:, 0] - ov[0]) ** 2)))
-    lam = math.atan2(orth, abs(ov[0]))
-    return 4.0 * (lam / theta_step) ** 2
+    root = np.sqrt(model.weights)
+    ov, orth = _orthogonal_part(root, root * np.exp(-1j * theta_step * model.evals))
+    return 4.0 * (math.atan2(math.sqrt(orth), abs(ov)) / theta_step) ** 2
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:

@@ -57,6 +57,13 @@ def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def _angle(value, name: str = "theta"):
+    """value, refused if a bool: True is not an angle, even where it passes for 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+    return value
+
+
 def _finite_array(values, dtype, what: str) -> np.ndarray:
     """values as a new array of dtype, every entry a finite number: the second
     input rule.  An all-boolean input is not numbers, even where True would
@@ -204,6 +211,16 @@ def overlap(a: SpinState, b: SpinState) -> complex:
     if a.j != b.j:
         raise ValueError(f"dimension mismatch: 2J={a.j.twice_j} vs 2J={b.j.twice_j}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def _orthogonal_part(psi: np.ndarray, phi: np.ndarray) -> tuple[complex, float]:
+    """(<psi|phi>, ||phi - <psi|phi> psi||^2) for a unit psi: a variance (phi = G psi) or a
+    leakage (phi = U psi), never negative and accurate when small; inf if ||phi||^2 overflows."""
+    ov = complex(np.vdot(psi, phi))
+    if not math.isfinite(np.vdot(phi, phi).real):
+        return ov, math.inf
+    rest = phi - ov * psi
+    return ov, float(np.vdot(rest, rest).real)
 
 
 @dataclass(frozen=True)
@@ -939,7 +956,7 @@ def generator_unitary(g: SpinOperator, theta: float) -> SpinOperator:
     other G goes through its eigendecomposition.  Either way the result is
     unitary to far better than the 1e-10 contract.
     """
-    if not math.isfinite(theta):
+    if not math.isfinite(_angle(theta)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     if not g.is_hermitian():
         raise ValueError(f"generator {g.label!r} is not Hermitian")
@@ -970,17 +987,12 @@ def apply(op: SpinOperator, psi: SpinState) -> np.ndarray:
 
 
 def expectation_and_variance(psi: SpinState, g: SpinOperator) -> tuple[float, float]:
-    """Mean <G> and variance <G^2> - <G>^2 of a Hermitian G in the state psi.
-
-    The variance is computed as ||G psi||^2 - <G>^2 and clamped at zero to
-    absorb -1e-12-scale round-off (downstream code takes square roots).  A G
-    so large that <G> or ||G psi||^2 overflows is rejected.
-    """
+    """Mean <G> and variance ||(G - <G>) psi||^2 of a Hermitian G in the state psi,
+    both from the _orthogonal_part of G psi: the variance needs no clamp and stays
+    accurate far below <G>^2.  A G for which ||G psi||^2 overflows is refused."""
     if not g.is_hermitian():
         raise ValueError(f"operator {g.label!r} is not Hermitian")
-    gpsi = apply(g, psi)
-    mean = float(np.real(np.vdot(psi.amplitudes, gpsi)))
-    second = float(np.real(np.vdot(gpsi, gpsi)))
-    if not (math.isfinite(mean) and math.isfinite(second)):
+    ov, var = _orthogonal_part(psi.amplitudes, apply(g, psi))
+    if not math.isfinite(var):
         raise ValueError(f"operator {g.label!r} is too large: <G> or ||G psi||^2 is not finite")
-    return mean, max(second - mean * mean, 0.0)
+    return ov.real, var

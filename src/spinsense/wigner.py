@@ -122,10 +122,10 @@ class ReducedElement:
 
 
 def _check_rank(twice_j: int, k: int, q: int = 0) -> None:
-    """Reject a rank other than 1 or 2, a component |q| > k, or a spin with 2J < k."""
-    if k not in (1, 2):
+    """Reject a non-integer k or q (_integer), a rank other than 1 or 2, |q| > k, or 2J < k."""
+    if _integer(k, "tensor rank k") not in (1, 2):
         raise ValueError(f"unsupported tensor rank {k}; only 1 and 2 are provided")
-    if abs(q) > k:
+    if abs(_integer(q, "component q")) > k:
         raise ValueError(f"component q={q} out of range for rank {k}")
     if twice_j < k:
         raise ValueError(f"no rank-{k} tensor on 2J={twice_j}: need 2J >= k")

@@ -21,12 +21,23 @@ from spinsense import (
     SupportSpec,
     ae_codewords,
     basis_state,
+    build_spin_operators,
     classical_fisher,
+    error_small_theta,
+    estimate_theta,
+    generator_unitary,
+    max_error_over_code,
     noon_state,
+    reduced_matrix_element,
+    survival_probability,
+    tensor_operator,
+    we_expectation,
 )
 from spinsense.cli import main
 
 J12 = SpinJ(12)
+_JZ = build_spin_operators(J12).jz
+_NOON12 = noon_state(J12)
 _OPERATOR = {"twice_j": 1, "matrix_re": [[1.0, 0.0], [0.0, 1.0]], "matrix_im": [[0.0, 0.0], [0.0, 0.0]]}
 
 # (entry point, bad input, exception, message fragment)
@@ -92,6 +103,25 @@ CASES = [
     (Distribution, (np.array([0.5 + 0.5j, 0.5]),), ValueError, "probabilities must be real"),
     (classical_fisher, (Distribution([0.5, 0.5]), np.array([1j, -1j])), ValueError, "derivatives must be real"),
     (FisherMatrix, (np.eye(3, dtype=complex),), ValueError, "Fisher matrix entries must be real"),
+    (tensor_operator, (J12, True, 0), ValueError, "tensor rank k must be an integer, got True"),
+    (tensor_operator, (J12, 1, 0.5), ValueError, "component q must be an integer, got 0.5"),
+    (we_expectation, (_NOON12, 1, 0.5), ValueError, "component q must be an integer, got 0.5"),
+    (reduced_matrix_element, (J12, 2.0), ValueError, "tensor rank k must be an integer, got 2.0"),
+    (generator_unitary, (_JZ, True), ValueError, "theta must be a number, not a bool, got True"),
+    (survival_probability, (_NOON12, _JZ, np.True_), ValueError, "theta must be a number, not a bool, got"),
+    (error_small_theta, (_NOON12, _JZ, False), ValueError, "theta must be a number, not a bool, got False"),
+    (
+        max_error_over_code,
+        (ae_codewords(J12, 3, 6), _JZ, False),
+        ValueError,
+        "theta must be a number, not a bool, got False",
+    ),
+    (
+        estimate_theta,
+        (50, 100, _NOON12, _JZ, (False, 0.3)),
+        ValueError,
+        "bracket end must be a number, not a bool, got False",
+    ),
 ]
 
 

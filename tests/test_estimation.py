@@ -457,3 +457,45 @@ def test_crb_report_builds_one_survival_model_and_draws_simulate_trials(monkeypa
     assert len(drawn) == 1
     monkeypatch.undo()
     assert np.array_equal(drawn[0], simulate_trials(cfg))
+
+
+class _Overshooting:
+    """P = theta^2 on [0, 1], reporting dP/dtheta `factor` times too small, so
+    every Newton step overshoots the root sqrt(t); by factor 2 it lands on the
+    mirror point t / theta.  Records every array of angles it evaluates."""
+
+    def __init__(self, factor):
+        self.factor, self.points = factor, []
+
+    def evaluate(self, theta):
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        self.points.append(theta)
+        return theta * theta, 2.0 * theta / self.factor
+
+
+@pytest.mark.parametrize("factor", [1.9, 2.0])
+@pytest.mark.parametrize("target", [0.05, 0.3, 0.7071, 0.9])
+def test_newton_lockstep_pair_rule_under_overshooting_steps(factor, target):
+    # from the third step on steps go in pairs (3, 4), (5, 6), ...: the second
+    # step of a pair bisects when the first did not halve the bracket, and keeps
+    # its Newton step when the first did; the bracket of each step is rebuilt
+    # here from the sign of P - t at the angles the lockstep evaluated
+    model = _Overshooting(factor)
+    theta, clipped = _invert_monotone(model, np.array([target]), (0.0, 1.0))
+    assert not clipped[0] and abs(theta[0] - math.sqrt(target)) <= _BISECT_TOL
+    grid, xs = model.points[0], [float(x[0]) for x in model.points[1:]]
+    cell = int(np.searchsorted(grid * grid, target))
+    lo, hi = float(grid[cell - 1]), float(grid[cell])
+    assert len(xs) <= 2 * math.ceil(math.log2((hi - lo) / _BISECT_TOL)) + 4
+    widths = [hi - lo]
+    for step, x in enumerate(xs[:-1], start=1):
+        lo, hi = (x, hi) if x * x - target < 0.0 else (lo, x)
+        widths.append(hi - lo)
+        move = -(x * x - target) / (2.0 * x / factor)
+        # a Newton step shorter than _BISECT_TOL / 2 may close the bracket instead
+        if step < 3 or step % 2 == 0 or abs(move) < 0.5 * _BISECT_TOL:
+            continue
+        if widths[-1] > 0.5 * widths[-2]:
+            assert xs[step] == 0.5 * (lo + hi), (step, xs)
+        elif lo < x + move < hi:
+            assert xs[step] == x + move, (step, xs)

@@ -26,6 +26,7 @@ from spinsense import (
     survival_probability,
 )
 from spinsense import SupportSpec, axis_generator, RotationAxis
+from spinsense import metrics
 from spinsense.metrics import _SurvivalModel
 from spinsense.spin import _standard_operator
 from helpers import random_hermitian, random_state, random_unitary
@@ -410,3 +411,18 @@ def test_projector_basis_checks_the_dense_limit_first():
     # the operator keeps its band; the d x d sum is refused before it is made
     with pytest.raises(ValueError, match="2J <= 4096"):
         ProjectorBasis([_standard_operator(SpinJ(10**6), "Jz")])
+
+
+def test_first_slope_peak_falls_through_to_the_window_end():
+    # weights about 1/2, 1/2 on m = 0, 1 and 1e-3 on m = -10 under Jz: the
+    # window is 2 pi / 11, and the m = 0, 1 beat P ~ cos^2(theta / 2) keeps
+    # |dP/dtheta| rising across all of it, so the scan finds no fall
+    j = SpinJ(20)
+    amps = np.zeros(j.dim, dtype=complex)
+    amps[[j.index_of(0), j.index_of(2), j.index_of(-20)]] = [math.sqrt(0.4995), math.sqrt(0.4995), math.sqrt(1e-3)]
+    model = _SurvivalModel(SpinState(j, amps), build_spin_operators(j).jz)
+    window = 2.0 * math.pi / 11.0
+    thetas = np.linspace(0.0, window, metrics._SCAN_POINTS)[1:]
+    slope = np.abs(model.evaluate(thetas)[1])
+    assert np.all(slope[1:] >= slope[:-1])
+    assert model.first_slope_peak() == float(thetas[-1]) == window

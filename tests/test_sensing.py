@@ -289,3 +289,17 @@ def test_every_entropy_solve_is_bracketed_by_minus_one_and_one(monkeypatch):
             logits = -lam * values
             masses = np.exp(logits - logits.max())
             assert abs(masses @ values / masses.sum() - end) < 0.08
+
+
+def test_shell_masses_at_the_top_vertex():
+    # J = 3 on the shells {0, 2}: the target J(J+1)/3 = 4 is the m = 2 shell
+    # itself, so the masses are the vertex [0, 1] and the gap-2 phase rule puts
+    # i/sqrt2 on m = +-2
+    assert np.array_equal(sensing._solve_shell_masses([0.0, 4.0], 4.0), [0.0, 1.0])
+    psi = construct_anticoherent(SupportSpec(SpinJ(6), (0, 2)))
+    want = np.zeros(7, dtype=complex)
+    want[[psi.j.index_of(4), psi.j.index_of(-4)]] = 1j / math.sqrt(2.0)
+    assert np.allclose(psi.amplitudes, want, rtol=0.0, atol=1e-15)
+    report = anticoherence_report(psi, 1e-12)
+    assert report.order1 and report.order2
+    assert report.max_first_moment == 0.0 and report.max_matrix_deviation == 0.0
